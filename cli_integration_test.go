@@ -179,8 +179,8 @@ func TestCLIFailurePaths(t *testing.T) {
 	}{
 		{"gpclust missing input", gpclust, []string{"-in", missing}, "no-such-file"},
 		{"gpclust no input flag", gpclust, nil, "-in is required"},
-		{"gpclust pipeline without gpu", gpclust,
-			[]string{"-in", graphF, "-backend", "serial", "-pipeline"}, "-pipeline requires -backend gpu"},
+		{"gpclust gpuagg without gpu", gpclust,
+			[]string{"-in", graphF, "-backend", "serial", "-gpuagg"}, "-gpuagg requires -backend gpu"},
 		{"gpclust faults without gpu", gpclust,
 			[]string{"-in", graphF, "-backend", "parallel", "-faults", "h2d op=1"}, "-faults requires -backend gpu"},
 		{"gpclust bad schedule", gpclust,
@@ -309,8 +309,10 @@ func TestCLIObservability(t *testing.T) {
 
 	gTrace := filepath.Join(dir, "gpclust-trace.json")
 	gMetrics := filepath.Join(dir, "gpclust-metrics.txt")
-	out := run(t, gpclust, "-in", graphF, "-backend", "gpu", "-pipeline",
-		"-c1", "30", "-c2", "15", "-batch", "5000", "-faults", "h2d op=2",
+	// The default -batch auto picks a multi-lane plan on this input, so
+	// both lane tracks appear.
+	out := run(t, gpclust, "-in", graphF, "-backend", "gpu",
+		"-c1", "30", "-c2", "15", "-faults", "h2d op=2",
 		"-trace", gTrace, "-metrics", gMetrics, "-out", filepath.Join(dir, "c.txt"))
 	if !strings.Contains(out, "merged timeline written") || !strings.Contains(out, "metrics written") {
 		t.Fatalf("observability summary missing from output:\n%s", out)

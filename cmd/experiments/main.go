@@ -228,7 +228,7 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 
 	rows, err := bench.AblateAsync(0.005, smallPerf)
 	fatal(err)
-	bench.RenderAblation(out, "synchronous vs asynchronous CPU-GPU transfer (paper Section V)", rows)
+	bench.RenderAblation(out, "paper schedule vs 2-lane plan: synchronous vs overlapped CPU-GPU transfer (paper Section V)", rows)
 
 	rows, err = bench.AblateBatchSize(0.25, smallPerf, []int{0, 2_000_000, 200_000, 40_000})
 	fatal(err)
@@ -256,7 +256,7 @@ func runAblations(out *os.File, qualityScale float64, perfOpts core.Options, min
 
 	rows, err = bench.AblateHostParallel(0.25, smallPerf, 0)
 	fatal(err)
-	bench.RenderAblation(out, "execution strategies: serial vs parallel host vs sequential vs pipelined gpClust", rows)
+	bench.RenderAblation(out, "execution strategies: serial vs parallel host vs sequential vs auto-tuned gpClust", rows)
 
 	rows, err = bench.AblateMultiGPU(0.005, smallPerf, []int{1, 2, 4})
 	fatal(err)

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	gpclust -in graph.txt -backend gpu -pipeline -out clusters.txt
+//	gpclust -in graph.txt -backend gpu -out clusters.txt
 //	gpclust -in graph.bin -backend parallel -workers 8
 //	gpclust -in graph.bin -backend serial -c1 200 -c2 100
 package main
@@ -41,9 +41,7 @@ func main() {
 		c2       = flag.Int("c2", 100, "second-level shingle count")
 		seed     = flag.Int64("seed", 1, "random seed for the hash families")
 		overlap  = flag.Bool("overlap", false, "report overlapping connected-component clusters instead of the union-find partition")
-		async    = flag.Bool("async", false, "use asynchronous CPU-GPU transfers (gpu backend)")
-		pipeline = flag.Bool("pipeline", false, "double-buffer batches across streams with coalesced transfers (gpu backend)")
-		gpuagg   = flag.Bool("gpuagg", false, "aggregate shingles on the device (gpu backend)")
+		gpuagg   = flag.Bool("gpuagg", false, "aggregate shingles on the device, on any batch plan (gpu backend)")
 		ngpu     = flag.Int("ngpu", 1, "number of simulated devices (gpu backend)")
 		profile  = flag.Bool("profile", false, "print a per-kernel profile of the run (gpu backend)")
 		trace    = flag.String("trace", "", "write a merged chrome://tracing timeline (host phases + every device) to this file (gpu backend)")
@@ -75,7 +73,7 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*async, "-async"}, {*pipeline, "-pipeline"}, {*gpuagg, "-gpuagg"},
+			{*gpuagg, "-gpuagg"},
 			{*ngpu != 1, "-ngpu"}, {*profile, "-profile"}, {*trace != "", "-trace"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
 			{!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
@@ -108,17 +106,15 @@ func main() {
 	}
 	o := core.Options{
 		S1: *s1, C1: *c1, S2: *s2, C2: *c2,
-		Seed:            *seed,
-		Mode:            core.ReportUnionFind,
-		AsyncTransfer:   *async,
-		PipelineBatches: *pipeline,
-		GPUAggregate:    *gpuagg,
-		BatchWords:      batchWords,
-		AutoTune:        autoTune,
-		Packed:          *packed,
-		Fuse:            *fuse,
-		FaultRetries:    *retries,
-		NoHostFallback:  *noFB,
+		Seed:           *seed,
+		Mode:           core.ReportUnionFind,
+		GPUAggregate:   *gpuagg,
+		BatchWords:     batchWords,
+		AutoTune:       autoTune,
+		Packed:         *packed,
+		Fuse:           *fuse,
+		FaultRetries:   *retries,
+		NoHostFallback: *noFB,
 	}
 	if *overlap {
 		o.Mode = core.ReportOverlapping

@@ -23,29 +23,27 @@ type AblationRow struct {
 
 // AblateAsync quantifies the paper's future-work claim: "the data transfer
 // overhead ... can be eliminated through asynchronous data transfer". It
-// runs the same graph synchronously and with streams and reports the totals
-// and the D2H overhead recovered.
+// runs the same graph on the paper's schedule (one lane: synchronous
+// per-trial transfers) and on a 2-lane plan (coalesced transfers on two
+// streams, overlapping the copy engine, kernels and CPU aggregation across
+// batches) and reports the totals and the overhead recovered.
 func AblateAsync(scale float64, o core.Options) ([]AblationRow, error) {
 	g, _ := graph.Planted(Paper2MConfig(scale))
-	sync := o
-	sync.AsyncTransfer = false
 	devS := gpusim.MustNew(gpusim.K20Config())
-	rs, err := core.ClusterGPU(g, devS, sync)
+	rs, err := core.ClusterGPU(g, devS, o)
 	if err != nil {
 		return nil, err
 	}
-	async := o
-	async.AsyncTransfer = true
-	devA := gpusim.MustNew(gpusim.K20Config())
-	ra, err := core.ClusterGPU(g, devA, async)
+	devL := gpusim.MustNew(gpusim.K20Config())
+	rl, err := core.ClusterGPU(g, devL, core.FixedLanes(o, 2))
 	if err != nil {
 		return nil, err
 	}
 	return []AblationRow{
-		{"sync total", s(rs.Timings.TotalNs), "s", "Thrust-style synchronous transfers (the paper's implementation)"},
-		{"sync Data_g->c", s(rs.Timings.D2HNs), "s", "per-trial shingle transfer overhead on the critical path"},
-		{"async total", s(ra.Timings.TotalNs), "s", "double-buffered streams (the paper's proposed improvement)"},
-		{"saved", s(rs.Timings.TotalNs - ra.Timings.TotalNs), "s", "overhead hidden by overlapping transfer, kernels and CPU aggregation"},
+		{"paper schedule total", s(rs.Timings.TotalNs), "s", "one lane: Thrust-style synchronous per-trial transfers (the paper's implementation)"},
+		{"paper schedule Data_g->c", s(rs.Timings.D2HNs), "s", "per-trial shingle transfer overhead on the critical path"},
+		{"2-lane plan total", s(rl.Timings.TotalNs), "s", "coalesced transfers on two streams (the paper's proposed improvement)"},
+		{"saved", s(rs.Timings.TotalNs - rl.Timings.TotalNs), "s", "overhead hidden by overlapping transfer, kernels and CPU aggregation"},
 	}, nil
 }
 
@@ -265,10 +263,10 @@ func AblateMultiGPU(scale float64, o core.Options, deviceCounts []int) ([]Ablati
 
 // AblateHostParallel compares the four execution strategies on one graph:
 // serial pClust, the multi-core host backend (real wall-clock speedup — the
-// virtual cost model prices operations, not cores), and gpClust with the
-// sequential and the double-buffered pipelined batch loops (virtual-clock
-// speedup from transfer coalescing and overlap). All four produce the
-// identical clustering.
+// virtual cost model prices operations, not cores), and gpClust on the
+// paper's sequential schedule and on the cost model's auto-tuned plan
+// (virtual-clock speedup from batch sizing, transfer coalescing and
+// overlap). All four produce the identical clustering.
 func AblateHostParallel(scale float64, o core.Options, workers int) ([]AblationRow, error) {
 	g, _ := graph.Planted(Paper20KConfig(scale))
 	rs, err := core.ClusterSerial(g, o)
@@ -286,14 +284,14 @@ func AblateHostParallel(scale float64, o core.Options, workers int) ([]AblationR
 	if err != nil {
 		return nil, err
 	}
-	pipe := o
-	pipe.PipelineBatches = true
-	devPipe := gpusim.MustNew(gpusim.K20Config())
-	rpp, err := core.ClusterGPU(g, devPipe, pipe)
+	auto := o
+	auto.AutoTune = true
+	devAuto := gpusim.MustNew(gpusim.K20Config())
+	ra, err := core.ClusterGPU(g, devAuto, auto)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range []*core.Result{rp, rg, rpp} {
+	for _, r := range []*core.Result{rp, rg, ra} {
 		if r.NumClusters() != rs.NumClusters() {
 			return nil, fmt.Errorf("bench: %s backend clustering diverged (%d vs %d clusters)",
 				r.Backend, r.NumClusters(), rs.NumClusters())
@@ -308,9 +306,9 @@ func AblateHostParallel(scale float64, o core.Options, workers int) ([]AblationR
 				float64(rs.Wall.TotalNs)/float64(max(rp.Wall.TotalNs, 1)))},
 		{"gpClust sequential", s(rg.Timings.TotalNs), "s",
 			fmt.Sprintf("virtual clock; H2D %.2fs D2H %.2fs", s(rg.Timings.H2DNs), s(rg.Timings.D2HNs))},
-		{"gpClust pipelined", s(rpp.Timings.TotalNs), "s",
-			fmt.Sprintf("coalesced+overlapped transfers; H2D %.2fs D2H %.2fs, saved %.2fs",
-				s(rpp.Timings.H2DNs), s(rpp.Timings.D2HNs), s(rg.Timings.TotalNs-rpp.Timings.TotalNs))},
+		{"gpClust auto-tuned", s(ra.Timings.TotalNs), "s",
+			fmt.Sprintf("cost-model plan (%d lanes, %d batches); H2D %.2fs D2H %.2fs, saved %.2fs",
+				ra.Pass1.Plan.Lanes, ra.Pass1.Plan.Batches, s(ra.Timings.H2DNs), s(ra.Timings.D2HNs), s(rg.Timings.TotalNs-ra.Timings.TotalNs))},
 	}, nil
 }
 

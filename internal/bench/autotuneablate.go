@@ -51,29 +51,26 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 		points []AutoTunePoint
 	)
 
-	// gpclust: the two legacy derivations (sequential and pipelined), two
-	// forced multi-batch budgets, and the auto-tuner. The auto-tuner's
-	// candidate sweep is a superset of both legacy derivations, so with an
-	// accurate model it can never lose to them.
+	// gpclust: the legacy derivation, two forced multi-batch budgets, and
+	// the auto-tuner. Fixed plans run the paper's 1-lane schedule, and the
+	// auto-tuner's candidate sweep includes it, so with an accurate model
+	// it can never lose to them.
 	g, _ := graph.Planted(Paper20KConfig(scale))
 	type coreSetting struct {
-		label    string
-		budget   int
-		pipeline bool
-		auto     bool
+		label  string
+		budget int
+		auto   bool
 	}
 	coreSettings := []coreSetting{
-		{"auto", 0, false, true},
-		{"fixed derived sequential", 0, false, false},
-		{"fixed derived pipelined", 0, true, false},
-		{"fixed 200K words", 200_000, false, false},
-		{"fixed 40K words", 40_000, false, false},
+		{"auto", 0, true},
+		{"fixed derived sequential", 0, false},
+		{"fixed 200K words", 200_000, false},
+		{"fixed 40K words", 40_000, false},
 	}
 	var goldenClusters [][]uint32
 	for _, cs := range coreSettings {
 		opt := o
 		opt.BatchWords = cs.budget
-		opt.PipelineBatches = cs.pipeline
 		opt.AutoTune = cs.auto
 		opt.PredictCost = !cs.auto // auto already predicts its chosen plan
 		dev := gpusim.MustNew(gpusim.K20Config())

@@ -9,14 +9,14 @@ import (
 
 // Cost-model-driven batch auto-tuning for the shingling passes. With
 // Options.AutoTune (and no explicit BatchWords) the scheduler enumerates
-// candidate plans — a geometric sweep of word budgets crossed with the
-// feasible pipeline lane counts — predicts each candidate's virtual time by
-// replaying its exact operation sequence (stage, H2D, per-trial kernels,
-// D2H, CPU merge) through sched.Sim, and runs the argmin. Kernel throughput
-// is calibrated by probing the real thrust kernels on a *scratch* device
-// with the same gpusim.Config, so planning charges zero time on the run's
-// own virtual clock and the model tracks whatever the simulator charges,
-// occupancy penalty included.
+// candidate plans — a geometric sweep of word budgets crossed with lane
+// counts 1–4 and the kernel fusion choice — predicts each candidate's
+// virtual time by replaying its exact operation sequence (stage, H2D,
+// per-trial kernels, D2H, CPU merge) through sched.Sim, and runs the
+// argmin. Kernel throughput is calibrated by probing the real thrust
+// kernels on a *scratch* device with the same gpusim.Config, so planning
+// charges zero time on the run's own virtual clock and the model tracks
+// whatever the simulator charges, occupancy penalty included.
 
 // probeWords caps the calibration probe's data size.
 const probeWords = 1 << 15
@@ -182,9 +182,9 @@ func calibrateShingleModel(cfg gpusim.Config, in *SegGraph, fam minwise.Family, 
 			return m
 		}
 		k3 := scratch.Metrics().KernelTimeNs
-		if shingleKeyKernel(scratch, outBuf, flagBuf, ownerBuf, numSegs, s, 0, keyHi, keyLo, valBuf) != nil ||
+		if shingleKeyKernel(scratch, nil, outBuf, 0, flagBuf, ownerBuf, numSegs, s, 0, keyHi, keyLo, valBuf) != nil ||
 			thrust.SortPairs64(scratch, keyHi, keyLo, valBuf, numSegs) != nil ||
-			packKernel(scratch, keyHi, keyLo, valBuf, numSegs, packed) != nil {
+			packKernel(scratch, nil, keyHi, keyLo, valBuf, numSegs, packed, 0) != nil {
 			return m
 		}
 		m.CalibrateKernel(kAggTail, scratch.Metrics().KernelTimeNs-k3, float64(numSegs), 0)
@@ -246,29 +246,20 @@ func trialKernelsNs(m *sched.Model, o Options, words, numSegs int) float64 {
 	return ns
 }
 
-// replayBatchUpload replays one batch's image upload on the sim lane:
-// the (possibly packed) data copy, the offsets copy, and the unpack kernel
-// of a packed-unfused plan, in runBatch's enqueue order.
+// replayBatchUpload replays one batch's staging on a sim lane in
+// shingleLanes.uploadBatch's enqueue order: the (possibly packed) data
+// copy, the offsets copy, the unpack kernel of a packed-unfused plan, and
+// the aggregation tail's owner and flag copies.
 func replayBatchUpload(sim *sched.Sim, m *sched.Model, o Options, lane, words, numPieces int) {
 	sim.CopyPacked(lane, words, o.dataBits, true)
-	if o.dataBits > 0 && o.fusedPlan {
-		sim.Copy(lane, numPieces+1, true)
-		return
-	}
-	if o.dataBits > 0 {
-		if lane >= 0 {
-			// Pipelined enqueue order: off copy precedes the on-stream unpack.
-			sim.Copy(lane, numPieces+1, true)
-			if words > 0 {
-				sim.KernelRawNs(lane, unpackNs(m, words))
-			}
-			return
-		}
-		if words > 0 {
-			sim.KernelRawNs(lane, unpackNs(m, words))
-		}
-	}
 	sim.Copy(lane, numPieces+1, true)
+	if o.dataBits > 0 && !o.fusedPlan && words > 0 {
+		sim.KernelRawNs(lane, unpackNs(m, words))
+	}
+	if o.GPUAggregate {
+		sim.Copy(lane, numPieces, true) // owners
+		sim.Copy(lane, numPieces, true) // flags
+	}
 }
 
 // stageNs is the host cost of assembling one batch's data and offsets.
@@ -308,142 +299,52 @@ func aggCounts(in *SegGraph, plan *batchPlan, s int) (validCount, splitPieces in
 }
 
 // predictShinglePlans predicts the virtual time of the scheduler window —
-// everything between planning and the split-list merge — for the given
-// plans under the mode Options select and the given lane count.
+// everything between planning and the split-list merge — for plans on the
+// given lane count, replaying runPassGPU's use of runShingleLanes: one
+// 1-lane run per batch on a single lane, one run over every batch
+// otherwise.
 func predictShinglePlans(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 	o Options, plans []batchPlan, lanes int) float64 {
 
-	switch {
-	case lanes >= 2:
-		return predictPipelined(m, in, fam, s, o, plans, lanes)
-	case o.GPUAggregate:
-		return predictGPUAgg(m, in, fam, s, o, plans)
-	case o.AsyncTransfer:
-		return predictAsync(m, in, fam, s, o, plans)
-	default:
-		return predictSequential(m, in, fam, s, o, plans)
+	sim := sched.NewSim(m, lanes)
+	if lanes > 1 {
+		replayLanes(sim, m, in, fam.Size(), s, o, plans, lanes)
+		return sim.Host
 	}
-}
-
-// predictSequential replays runBatch + runTrialsSync.
-func predictSequential(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
-
-	sim := sched.NewSim(m, 0)
-	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np)
-		emit := emitNsPerTrial(in, plan, s)
-		for trial := 0; trial < c; trial++ {
-			if o.residentParams == nil {
-				sim.Copy(-1, 2, true) // <A_j, B_j>
-			}
-			sim.KernelRawNs(-1, trialKernelsNs(m, o, plan.words, np))
-			sim.Copy(-1, np*s, false)
-			sim.HostWork(emit)
-		}
+	for k := range plans {
+		replayLanes(sim, m, in, fam.Size(), s, o, plans[k:k+1], 1)
 	}
 	return sim.Host
 }
 
-// predictAsync replays runBatch + runTrialsAsync (two per-trial lanes,
-// fresh streams per batch).
-func predictAsync(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
+// replayLanes replays one runShingleLanes call on sim: the sched.RunLanes
+// round-robin, the per-lane params table upload and batch re-staging, each
+// item's trial kernels (plus the aggregation tail under GPUAggregate), its
+// device→host transfers and the host merge at drain.
+func replayLanes(sim *sched.Sim, m *sched.Model, in *SegGraph, c, s int,
+	o Options, plans []batchPlan, lanes int) {
 
-	sim := sched.NewSim(m, 2)
-	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np)
-		emit := emitNsPerTrial(in, plan, s)
-		sim.Ready[0], sim.Ready[1] = 0, 0 // fresh streams each batch
-		inFlight := [2]int{-1, -1}
-		drain := func(l int) {
-			if inFlight[l] < 0 {
-				return
-			}
-			sim.SyncLane(l)
-			sim.HostWork(emit)
-			inFlight[l] = -1
-		}
-		for trial := 0; trial < c; trial++ {
-			l := trial % 2
-			drain(l)
-			if o.residentParams == nil {
-				sim.Copy(l, 2, true)
-			}
-			sim.KernelRawNs(l, trialKernelsNs(m, o, plan.words, np))
-			sim.Copy(l, np*s, false)
-			inFlight[l] = trial
-		}
-		drain(0)
-		drain(1)
-	}
-	return sim.Host
-}
-
-// predictGPUAgg replays runBatch + runTrialsGPUAgg.
-func predictGPUAgg(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan) float64 {
-
-	sim := sched.NewSim(m, 0)
-	c := fam.Size()
-	for i := range plans {
-		plan := &plans[i]
-		np := len(plan.pieces)
-		valid, splits := aggCounts(in, plan, s)
-		sim.HostWork(stageNs(plan) + packNs(o, plan.words))
-		replayBatchUpload(sim, m, o, -1, plan.words, np) // data + offsets
-		sim.Copy(-1, np, true)                           // owners
-		sim.Copy(-1, np, true)                           // flags
-		hostNs := float64(valid+splits*2*s) * AggregateNsPerOp
-		for trial := 0; trial < c; trial++ {
-			if o.residentParams == nil {
-				sim.Copy(-1, 2, true)
-			}
-			sim.KernelRawNs(-1, trialKernelsNs(m, o, plan.words, np))
-			sim.KernelRawNs(-1, m.KernelNsPerUnit[kAggTail]*float64(np))
-			sim.Copy(-1, 3*valid, false)
-			for r := 0; r < splits; r++ {
-				sim.Copy(-1, s, false)
-			}
-			sim.HostWork(hostNs)
-		}
-	}
-	return sim.Host
-}
-
-// predictPipelined replays runBatchesPipelined across the given lane count
-// (the sched.RunLanes round-robin, including the per-lane params table
-// upload and re-staging).
-func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
-	o Options, plans []batchPlan, lanes int) float64 {
-
-	c := fam.Size()
-	maxWords, maxPieces := 1, 1
-	for _, p := range plans {
-		maxWords = max(maxWords, p.words)
-		maxPieces = max(maxPieces, len(p.pieces))
-	}
-	groupTrials := min(max(maxWords/(maxPieces*s), 1), c)
+	_, _, groupTrials := laneShape(plans, s, c, lanes)
 	groups := (c + groupTrials - 1) / groupTrials
 	n := len(plans) * groups
 
-	sim := sched.NewSim(m, lanes)
 	laneBatch := make([]int, lanes)
 	inFlight := make([]int, lanes)
 	for i := range laneBatch {
 		laneBatch[i], inFlight[i] = -1, -1
 	}
+	// Per plan: host merge cost per trial, and under GPUAggregate the
+	// device-keyed and split piece counts.
 	emitNs := make([]float64, len(plans))
-	for i := range plans {
-		emitNs[i] = emitNsPerTrial(in, &plans[i], s)
+	valid := make([]int, len(plans))
+	splits := make([]int, len(plans))
+	for k := range plans {
+		if o.GPUAggregate {
+			valid[k], splits[k] = aggCounts(in, &plans[k], s)
+			emitNs[k] = float64(valid[k]+splits[k]*2*s) * AggregateNsPerOp
+		} else {
+			emitNs[k] = emitNsPerTrial(in, &plans[k], s)
+		}
 	}
 	staged := -1
 	drain := func(lane int) {
@@ -479,69 +380,59 @@ func predictPipelined(m *sched.Model, in *SegGraph, fam minwise.Family, s int,
 		}
 		for trial := t0; trial < t1; trial++ {
 			sim.KernelRawNs(lane, trialKernelsNs(m, o, plan.words, np))
+			if o.GPUAggregate {
+				sim.KernelRawNs(lane, m.KernelNsPerUnit[kAggTail]*float64(np))
+			}
 		}
-		sim.Copy(lane, (t1-t0)*np*s, false)
+		if !o.GPUAggregate {
+			sim.Copy(lane, (t1-t0)*np*s, false)
+		} else {
+			sim.Copy(lane, (t1-t0)*3*valid[k], false) // packed records
+			for r := 0; r < (t1-t0)*splits[k]; r++ {
+				sim.Copy(lane, s, false) // split-piece minima rows
+			}
+		}
 		inFlight[lane] = item
 	}
 	for k := 0; k < lanes; k++ {
 		drain((n + k) % lanes)
 	}
-	return sim.Host
 }
 
-// shingleLaneSet is the lane counts the auto-tuner may consider for the
-// configured mode: the per-trial pipelines (AsyncTransfer) and the device
-// aggregation path keep their own internal structure and run sequentially
-// over batches; an explicit PipelineBatches pins the pipelined executor.
-func shingleLaneSet(o Options) []int {
-	switch {
-	case o.GPUAggregate || o.AsyncTransfer:
-		return []int{1}
-	case o.PipelineBatches:
-		return []int{2, 3, 4}
-	default:
-		return []int{1, 2, 3, 4}
-	}
+// laneCounts is the lane dimension of the auto-tuner's candidate sweep.
+var laneCounts = []int{1, 2, 3, 4}
+
+// legacyShingleBudget is the pre-auto-tune budget derivation: data + hash
+// copies, offsets and output must all fit with slack, once per resident
+// lane (each lane stages a whole batch and packs up to a batch's worth of
+// output rows).
+func legacyShingleBudget(dev *gpusim.Device, lanes int) int {
+	return int(dev.FreeMemory()/gpusim.WordBytes*3/4) / lanes
 }
 
-// legacyShingleBudget is the pre-auto-tune budget derivation.
-func legacyShingleBudget(dev *gpusim.Device, o Options) int {
-	// data + hash copies, offsets and output must all fit with slack.
-	budget := int(dev.FreeMemory() / gpusim.WordBytes * 3 / 4)
-	if o.PipelineBatches {
-		// Two batches are resident at once (double-buffered staging),
-		// and each lane packs up to a batch's worth of output rows for
-		// coalesced transfers: halve the derived budget so both fit.
-		budget = budget / 2
-	}
-	return budget
-}
-
-// minShingleBudget is the smallest budget planBatches accepts.
-func minShingleBudget(s int, gpuAggregate bool) int {
-	overhead := 2 * (s + 2)
+// minShingleBudget is the smallest budget planBatches accepts, and the
+// per-piece overhead words its footprint bound charges: an offset word and
+// two s-word output slots, plus the aggregation tail's nine per-piece
+// words under gpuAggregate.
+func minShingleBudget(s int, gpuAggregate bool) (budget, perPieceOverhead int) {
+	perPieceOverhead = 2 * (s + 2)
 	if gpuAggregate {
-		overhead += 9
+		perPieceOverhead += 9
 	}
-	return 3 + overhead + 2
+	return 3 + perPieceOverhead + 2, perPieceOverhead
 }
 
 // shingleFeasible reports whether the candidate's device footprint fits
 // free memory: the planner's budget is itself a conservative footprint
-// bound for the sequential paths, and the pipelined executor keeps
-// `lanes` fully independent stagings resident. o carries the resolved pass
+// bound for a 1-lane plan, and a multi-lane plan keeps `lanes` fully
+// independent stagings resident. o carries the resolved pass
 // shape (packed width, residency) whose buffers the lanes actually allocate;
 // o.fusedPlan must hold the candidate's fusion choice.
 func shingleFeasible(freeWords int, plans []batchPlan, cand sched.Candidate, s, c int, o Options) bool {
 	if cand.Lanes <= 1 {
 		return cand.BudgetWords <= freeWords
 	}
-	maxWords, maxPieces := 1, 1
-	for _, p := range plans {
-		maxWords = max(maxWords, p.words)
-		maxPieces = max(maxPieces, len(p.pieces))
-	}
-	groupTrials := min(max(maxWords/(maxPieces*s), 1), c)
+	maxWords, maxPieces, groupTrials := laneShape(plans, s, c, cand.Lanes)
 	packedWords := gpusim.PackedLen(maxWords, o.dataBits)
 	var laneWords int
 	switch {
@@ -559,6 +450,9 @@ func shingleFeasible(freeWords int, plans []batchPlan, cand sched.Candidate, s, 
 	if o.residentParams == nil {
 		laneWords += 2 * c
 	}
+	if o.GPUAggregate {
+		laneWords += 5*maxPieces + groupTrials*3*maxPieces // owner, flag, keys, value; records
+	}
 	return cand.Lanes*laneWords <= freeWords
 }
 
@@ -571,7 +465,7 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 
 	freeWords := int(dev.FreeMemory() / gpusim.WordBytes)
 	maxB := freeWords * 3 / 4
-	minB := minShingleBudget(s, o.GPUAggregate)
+	minB, _ := minShingleBudget(s, o.GPUAggregate)
 	m := calibrateShingleModel(dev.Config(), in, fam, s, o)
 	c := fam.Size()
 
@@ -586,7 +480,7 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	}
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
-		for _, l := range shingleLaneSet(o) {
+		for _, l := range laneCounts {
 			for _, f := range fusedSet {
 				cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: f})
 			}
@@ -614,17 +508,13 @@ func autotunePass(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		return predictShinglePlans(m, in, fam, s, po, plans, cand.Lanes), true
 	})
 	if !ok {
-		budget := legacyShingleBudget(dev, o)
+		budget := legacyShingleBudget(dev, 1)
 		plans, err := planBatches(in, s, budget, o.GPUAggregate)
 		if err != nil {
 			return sched.PlanReport{}, nil, 0, err
 		}
-		lanes := 1
-		if o.PipelineBatches {
-			lanes = 2
-		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Fused: o.Fuse, Batches: len(plans)},
-			plans, lanes, nil
+		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Fused: o.Fuse, Batches: len(plans)},
+			plans, 1, nil
 	}
 	plans := plansFor(best.BudgetWords)
 	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,

@@ -53,9 +53,10 @@ func TestAutoTuneMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAutoTuneModeLanes pins the lane sets each mode exposes to the tuner:
-// pipelined runs must pick >=2 lanes, the aggregate and async-transfer
-// paths keep their own internal structure and stay sequential.
+// TestAutoTuneModeLanes: every mode — CPU- or device-side aggregation,
+// fused top-s or full sort — runs on the shared lane driver, so the tuner
+// sweeps lane counts 1–4 for each and the chosen plan must still match the
+// serial clustering.
 func TestAutoTuneModeLanes(t *testing.T) {
 	g, _ := plantedTestGraph(400, 73)
 	o := testOptions()
@@ -69,9 +70,9 @@ func TestAutoTuneModeLanes(t *testing.T) {
 		minLane int
 		maxLane int
 	}{
-		{"pipelined", func(o *Options) { o.PipelineBatches = true }, 2, 4},
-		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 1},
-		{"async", func(o *Options) { o.AsyncTransfer = true }, 1, 1},
+		{"default", func(o *Options) {}, 1, 4},
+		{"gpuagg", func(o *Options) { o.GPUAggregate = true }, 1, 4},
+		{"fullsort", func(o *Options) { o.UseFullSort = true }, 1, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,8 +119,8 @@ func TestPredictCostFixedPlan(t *testing.T) {
 		t.Fatalf("fixed budget not honoured: %s", gpu.Pass1.Plan.String())
 	}
 
-	// The pipelined fixed path is priced by the lane-overlap predictor.
-	o.PipelineBatches = true
+	// A multi-lane fixed plan is priced by the same lane replay.
+	o.lanes = 2
 	devPipe := gpusim.MustNew(gpusim.K20Config())
 	pipe, err := ClusterGPU(g, devPipe, o)
 	if err != nil {
@@ -160,29 +161,14 @@ func TestAutoTuneNotWorseThanLegacy(t *testing.T) {
 	}
 }
 
-func TestShingleLaneSet(t *testing.T) {
-	if got := shingleLaneSet(Options{}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("default lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{PipelineBatches: true}); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("pipelined lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{GPUAggregate: true}); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("gpu-aggregate lane set %v", got)
-	}
-	if got := shingleLaneSet(Options{AsyncTransfer: true}); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("async-transfer lane set %v", got)
-	}
-}
-
 func TestMinShingleBudget(t *testing.T) {
 	// 3 words fixed + 2*(s+2) staging + 2 output slack, +9 for the
 	// aggregate path's extra device state.
-	if got := minShingleBudget(4, false); got != 3+2*6+2 {
-		t.Fatalf("minShingleBudget(4,false)=%d", got)
+	if got, over := minShingleBudget(4, false); got != 3+2*6+2 || over != 2*6 {
+		t.Fatalf("minShingleBudget(4,false)=%d, %d", got, over)
 	}
-	if got := minShingleBudget(4, true); got != 3+2*6+9+2 {
-		t.Fatalf("minShingleBudget(4,true)=%d", got)
+	if got, over := minShingleBudget(4, true); got != 3+2*6+9+2 || over != 2*6+9 {
+		t.Fatalf("minShingleBudget(4,true)=%d, %d", got, over)
 	}
 }
 

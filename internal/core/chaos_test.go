@@ -13,10 +13,29 @@ import (
 
 // chaosBackend is one GPU execution strategy under chaos test. run builds
 // fresh devices, attaches the injector (nil for a clean run) to every one
-// of them, and clusters g.
+// of them, and clusters g. Sampled backends — the 3- and 4-lane and
+// full-sort plans, which share every code path with the 1- and 2-lane
+// fused ones — run one fault schedule of a sweep each (a different one per
+// backend), which keeps the grid affordable under -race.
 type chaosBackend struct {
-	name string
-	run  func(inj gpusim.FaultInjector, g *graph.Graph, o Options) (*Result, error)
+	name     string
+	sampleAt int // -1: every schedule; else the index of the one it runs
+	run      func(inj gpusim.FaultInjector, g *graph.Graph, o Options) (*Result, error)
+}
+
+func (b chaosBackend) sampled() bool { return b.sampleAt >= 0 }
+
+// sweepSeeds returns the fault-schedule seeds b runs out of the n starting
+// at first.
+func (b chaosBackend) sweepSeeds(first int64, n int) []int64 {
+	if b.sampled() {
+		return []int64{first + int64(b.sampleAt%n)}
+	}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = first + int64(i)
+	}
+	return seeds
 }
 
 func chaosBackends(batchWords int) []chaosBackend {
@@ -35,12 +54,37 @@ func chaosBackends(batchWords int) []chaosBackend {
 			return res, nil
 		}
 	}
-	return []chaosBackend{
-		{"gpu", mk(func(o *Options) { o.BatchWords = batchWords })},
-		{"gpu async", mk(func(o *Options) { o.BatchWords = batchWords; o.AsyncTransfer = true })},
-		{"gpu agg", mk(func(o *Options) { o.BatchWords = batchWords; o.GPUAggregate = true })},
-		{"gpu pipelined", mk(func(o *Options) { o.BatchWords = batchWords; o.PipelineBatches = true })},
-		{"multigpu×3", func(inj gpusim.FaultInjector, g *graph.Graph, o Options) (*Result, error) {
+	// Every plan the shared lane driver runs: lane counts 1–4 (one lane is
+	// the paper's per-batch loop, more lanes the restart-laddered pass),
+	// each with CPU- and device-side aggregation, fused top-s and full sort.
+	var backends []chaosBackend
+	sampled := 0
+	for lanes := 1; lanes <= 4; lanes++ {
+		for _, agg := range []bool{false, true} {
+			for _, fullSort := range []bool{false, true} {
+				name := fmt.Sprintf("gpu lanes=%d", lanes)
+				if agg {
+					name += " agg"
+				}
+				if fullSort {
+					name += " fullsort"
+				}
+				sampleAt := -1
+				if lanes >= 3 || fullSort {
+					sampleAt = sampled
+					sampled++
+				}
+				backends = append(backends, chaosBackend{name, sampleAt, mk(func(o *Options) {
+					o.BatchWords = batchWords
+					o.lanes = lanes
+					o.GPUAggregate = agg
+					o.UseFullSort = fullSort
+				})})
+			}
+		}
+	}
+	return append(backends,
+		chaosBackend{"multigpu×3", -1, func(inj gpusim.FaultInjector, g *graph.Graph, o Options) (*Result, error) {
 			o.BatchWords = batchWords
 			devs := make([]*gpusim.Device, 3)
 			for i := range devs {
@@ -57,8 +101,7 @@ func chaosBackends(batchWords int) []chaosBackend {
 				}
 			}
 			return res, nil
-		}},
-	}
+		}})
 }
 
 // TestChaosSweepAllBackends is the acceptance harness: over ≥ 20 seeded
@@ -70,6 +113,10 @@ func TestChaosSweepAllBackends(t *testing.T) {
 	o := testOptions()
 	const batchWords = 2_000 // force several batches and split lists
 
+	serial, err := ClusterSerial(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range chaosBackends(batchWords) {
 		clean, err := b.run(nil, g, o)
 		if err != nil {
@@ -78,7 +125,10 @@ func TestChaosSweepAllBackends(t *testing.T) {
 		if clean.Faults.Any() {
 			t.Fatalf("%s clean run reported recovery actions: %s", b.name, clean.Faults)
 		}
-		for seed := int64(1); seed <= 20; seed++ {
+		if !reflect.DeepEqual(serial.Clustering, clean.Clustering) {
+			t.Fatalf("%s clean run: clustering differs from serial", b.name)
+		}
+		for _, seed := range b.sweepSeeds(1, 20) {
 			inj := faults.NewInjector(faults.RandSchedule(seed, 5))
 			res, err := b.run(inj, g, o)
 			if err != nil {
@@ -170,13 +220,13 @@ func TestChaosRecoveryLadder(t *testing.T) {
 	}
 }
 
-// TestChaosPipelinedRestartAndDegrade forces the pipelined pass through
-// its restart rung and all the way to the sequential degradation.
+// TestChaosPipelinedRestartAndDegrade forces a multi-lane pass through its
+// restart rung and all the way to the 1-lane per-batch degradation.
 func TestChaosPipelinedRestartAndDegrade(t *testing.T) {
 	g, _ := plantedTestGraph(200, 7)
 	o := testOptions()
 	o.BatchWords = 2_000
-	o.PipelineBatches = true
+	o.lanes = 2
 	serial, err := ClusterSerial(g, o)
 	if err != nil {
 		t.Fatal(err)

@@ -257,6 +257,9 @@ func TestGPUSmallDeviceForcesBatching(t *testing.T) {
 	}
 }
 
+// TestAsyncMatchesSyncAndIsFaster compares the paper's synchronous
+// schedule (a fixed plan on one lane) with a 2-lane plan, whose coalesced
+// stream transfers overlap the kernels and the CPU aggregation.
 func TestAsyncMatchesSyncAndIsFaster(t *testing.T) {
 	g, _ := plantedTestGraph(500, 19)
 	o := testOptions()
@@ -267,18 +270,22 @@ func TestAsyncMatchesSyncAndIsFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o.AsyncTransfer = true
+	o.lanes = 2
 	devAsync := gpusim.MustNew(gpusim.K20Config())
 	asyncRes, err := ClusterGPU(g, devAsync, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	if syncRes.Pass1.Plan.Lanes != 1 || asyncRes.Pass1.Plan.Lanes != 2 {
+		t.Fatalf("plans ran %d and %d lanes, want 1 and 2",
+			syncRes.Pass1.Plan.Lanes, asyncRes.Pass1.Plan.Lanes)
+	}
 	if !reflect.DeepEqual(syncRes.Clustering, asyncRes.Clustering) {
-		t.Fatal("async clustering differs from sync")
+		t.Fatal("2-lane clustering differs from the paper schedule")
 	}
 	if asyncRes.Timings.TotalNs >= syncRes.Timings.TotalNs {
-		t.Fatalf("async total %.2fms not faster than sync %.2fms",
+		t.Fatalf("2-lane total %.2fms not faster than the paper schedule %.2fms",
 			asyncRes.Timings.TotalNs/1e6, syncRes.Timings.TotalNs/1e6)
 	}
 }
@@ -309,7 +316,7 @@ func TestFullSortMatchesFused(t *testing.T) {
 
 func TestFullSortAsyncMatchesSync(t *testing.T) {
 	// The segmented sort runs on the lane's stream against the lane's
-	// private hash buffer, so full sort composes with async transfers.
+	// private hash buffer, so full sort composes with a 2-lane plan.
 	g, _ := plantedTestGraph(100, 29)
 	o := testOptions()
 	o.UseFullSort = true
@@ -318,14 +325,14 @@ func TestFullSortAsyncMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.AsyncTransfer = true
+	o.lanes = 2
 	devAsync := gpusim.MustNew(gpusim.K20Config())
 	asyncRes, err := ClusterGPU(g, devAsync, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(syncRes.Clustering, asyncRes.Clustering) {
-		t.Fatal("full-sort async clustering differs from sync")
+		t.Fatal("full-sort 2-lane clustering differs from the paper schedule")
 	}
 }
 

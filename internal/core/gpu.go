@@ -138,17 +138,14 @@ type batchPlan struct {
 
 // planBatches partitions the pass input into batches whose device footprint
 // fits the word budget, splitting individual lists only when a single list
-// alone exceeds it. The footprint is sized conservatively for the async
-// pipeline's double buffering — per data word, the data buffer plus two
-// hashed copies; per piece, an offset word plus two s-word output slots —
-// and, when gpuAggregate is set, for the aggregation pipeline's extra
-// per-piece buffers (owner, flag, key halves, value, packed records).
+// alone exceeds it. The footprint is sized conservatively for a lane's
+// staging — per data word, the data image plus up to two full-width
+// scratch copies (an unfused packed plan's expanded data and the hash
+// buffer); per piece, an offset word plus two s-word output slots — and,
+// when gpuAggregate is set, for the aggregation tail's extra per-piece
+// buffers (owner, flag, key halves, value, packed records).
 func planBatches(in *SegGraph, s int, budgetWords int, gpuAggregate bool) ([]batchPlan, error) {
-	perPieceOverhead := 2 * (s + 2)
-	if gpuAggregate {
-		perPieceOverhead += 9
-	}
-	minBudget := 3*1 + perPieceOverhead + 2
+	minBudget, perPieceOverhead := minShingleBudget(s, gpuAggregate)
 	if budgetWords < minBudget {
 		return nil, fmt.Errorf("core: batch budget of %d words cannot hold any list", budgetWords)
 	}
@@ -265,10 +262,8 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	// uncharged like the batch planner itself.
 	o.dataBits = packWidth(o, in)
 
-	lanes := 1
-	if o.PipelineBatches {
-		lanes = 2
-	}
+	// Fixed plans run the paper's 1-lane schedule unless pinned otherwise.
+	lanes := max(o.lanes, 1)
 	var plans []batchPlan
 	var report sched.PlanReport
 	if o.BatchWords == 0 && o.AutoTune {
@@ -285,7 +280,7 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 		o.fusedPlan = o.Fuse
 		budget := o.BatchWords
 		if budget == 0 {
-			budget = legacyShingleBudget(dev, o)
+			budget = legacyShingleBudget(dev, lanes)
 		}
 		var err error
 		plans, err = planBatches(in, s, budget, o.GPUAggregate)
@@ -311,9 +306,12 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 	}
 	stats.SplitLists = len(splitLists)
 
+	env := &batchEnv{dev: dev, in: in, fam: fam, s: s, o: o, label: label,
+		tuplesByTrial: tuplesByTrial, sortedByTrial: sortedByTrial,
+		pending: pending, acct: acct, stats: stats, rec: rec}
 	schedT0 := dev.HostTime()
 	if lanes >= 2 {
-		if err := runBatchesPipelinedResilient(dev, in, fam, s, o, label, plans, lanes, tuplesByTrial, pending, acct, stats, rec); err != nil {
+		if err := runPassLanes(env, plans, lanes); err != nil {
 			return nil, err
 		}
 	} else {
@@ -324,7 +322,7 @@ func runPassGPU(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
 				t0 = dev.HostTime()
 				end = o.Obs.Start(obs.TrackBatches, fmt.Sprintf("%s.b%d", label, i), t0)
 			}
-			if err := runBatchResilient(dev, in, fam, s, o, plan, tuplesByTrial, sortedByTrial, pending, acct, stats, rec); err != nil {
+			if err := runBatchResilient(env, i, plan); err != nil {
 				return nil, err
 			}
 			if o.Obs.Enabled() {
@@ -395,109 +393,6 @@ type batchImage struct {
 	bits int
 }
 
-// uploadBatchImage moves one batch's adjacency data to the device in the
-// form the pass's plan calls for. Packed passes ship the packed image —
-// cutting the copy's bandwidth-proportional cost by bits/32 — and either
-// leave it packed for the fused kernels or expand it with the unpack kernel
-// when the plan is unfused; the packed staging is freed right after the
-// expansion so the batch footprint stays inside the planner's bound.
-func uploadBatchImage(dev *gpusim.Device, o Options, hostData []uint32, acct *cpuAccount) (batchImage, func(), error) {
-	none := func() {}
-	if o.dataBits <= 0 {
-		buf, err := dev.Malloc(len(hostData))
-		if err != nil {
-			return batchImage{}, none, err
-		}
-		if err := dev.CopyH2D(buf, 0, hostData); err != nil {
-			buf.Free()
-			return batchImage{}, none, err
-		}
-		return batchImage{buf: buf}, func() { buf.Free() }, nil
-	}
-
-	hostPacked := gpusim.PackBits(hostData, o.dataBits)
-	acct.packOps += int64(len(hostData))
-	chargeHost(dev, o.Obs, "pack", float64(len(hostData))*PackNsPerOp)
-	packedBuf, err := dev.Malloc(len(hostPacked))
-	if err != nil {
-		return batchImage{}, none, err
-	}
-	if err := dev.CopyH2D(packedBuf, 0, hostPacked); err != nil {
-		packedBuf.Free()
-		return batchImage{}, none, err
-	}
-	if o.fusedPlan {
-		return batchImage{buf: packedBuf, bits: o.dataBits}, func() { packedBuf.Free() }, nil
-	}
-	dataBuf, err := dev.Malloc(len(hostData))
-	if err != nil {
-		packedBuf.Free()
-		return batchImage{}, none, err
-	}
-	if err := thrust.UnpackBits(dev, packedBuf, dataBuf, len(hostData), o.dataBits); err != nil {
-		packedBuf.Free()
-		dataBuf.Free()
-		return batchImage{}, none, err
-	}
-	packedBuf.Free()
-	return batchImage{buf: dataBuf}, func() { dataBuf.Free() }, nil
-}
-
-// runBatch moves one batch of adjacency-list pieces to the device, runs all
-// c shingling trials on it, and streams the shingle results back for CPU
-// aggregation. With o.AsyncTransfer the trials are double-buffered across
-// two streams so transfers and the next trial's kernels overlap CPU
-// aggregation; otherwise every step is synchronous, like the Thrust
-// implementation the paper describes.
-func runBatch(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) error {
-
-	numPieces := len(plan.pieces)
-	// Assemble the batch's contiguous data and offsets on the host.
-	hostData := make([]uint32, 0, plan.words)
-	hostOff := make([]uint32, numPieces+1)
-	for pi, pc := range plan.pieces {
-		base := in.Offsets[pc.list]
-		hostData = append(hostData, in.Data[base+pc.lo:base+pc.hi]...)
-		hostOff[pi+1] = uint32(len(hostData))
-	}
-	acct.aggOps += int64(len(hostData) + numPieces)
-	chargeHost(dev, o.Obs, "stage", float64(len(hostData)+numPieces)*AggregateNsPerOp)
-
-	img, freeImg, err := uploadBatchImage(dev, o, hostData, acct)
-	if err != nil {
-		return err
-	}
-	defer freeImg()
-	offBuf, err := dev.Malloc(numPieces + 1)
-	if err != nil {
-		return err
-	}
-	defer offBuf.Free()
-	if err := dev.CopyH2D(offBuf, 0, hostOff); err != nil {
-		return err
-	}
-	segs := thrust.Segments{Offsets: offBuf, NumSegs: numPieces}
-
-	c := fam.Size()
-	processTrial := func(trial int, hostOut []uint32) {
-		before := acct.aggOps
-		emitTrialTuples(in, plan, s, trial, c, hostOut, tuplesByTrial, pending, acct, stats)
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
-	}
-
-	switch {
-	case o.GPUAggregate:
-		return runTrialsGPUAgg(dev, in, plan, segs, fam, s, o, img, len(hostData),
-			tuplesByTrial, sortedByTrial, pending, acct, stats)
-	case o.AsyncTransfer:
-		return runTrialsAsync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
-	default:
-		return runTrialsSync(dev, img, segs, fam, s, o, len(hostData), numPieces, processTrial)
-	}
-}
-
 // needsHashBuf reports whether the plan's trial kernels stage hashed values
 // in a full-width scratch buffer: always when unfused, and under UseFullSort
 // even fused (the fused sort writes the sorted hashes for the gather).
@@ -529,148 +424,14 @@ func trialKernels(dev *gpusim.Device, st *gpusim.Stream, img batchImage, hashBuf
 	return topSKernel(dev, st, hashBuf, segs, s, outBuf, outBase, o.UseFullSort)
 }
 
-// runTrialsSync is the paper's synchronous pipeline: per trial, hash
-// transform, segmented top-s (or full sort), synchronous D2H, then CPU
-// aggregation — "the data movement operations are implemented using
-// synchronous mechanism, and the overhead ... is unavoidable".
-func runTrialsSync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, dataWords, numPieces int,
-	processTrial func(int, []uint32)) error {
-
-	var hashBuf *gpusim.Buffer
-	if needsHashBuf(o) {
-		var err error
-		hashBuf, err = dev.Malloc(dataWords)
-		if err != nil {
-			return err
-		}
-		defer hashBuf.Free()
-	}
-	outBuf, err := dev.Malloc(numPieces * s)
-	if err != nil {
-		return err
-	}
-	defer outBuf.Free()
-	// The trial's hash-pair constants <A_j, B_j> travel to the device each
-	// iteration (the functor state of the thrust::transform call) — unless
-	// the whole table is already device-resident for the run.
-	var paramsBuf *gpusim.Buffer
-	if o.residentParams == nil {
-		paramsBuf, err = dev.Malloc(2)
-		if err != nil {
-			return err
-		}
-		defer paramsBuf.Free()
-	}
-	hostOut := make([]uint32, numPieces*s)
-
-	for trial, h := range fam.Pairs {
-		if paramsBuf != nil {
-			if err := dev.CopyH2D(paramsBuf, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
-				return err
-			}
-		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h.A, h.B, outBuf, 0); err != nil {
-			return err
-		}
-		if err := dev.CopyD2H(hostOut, outBuf, 0); err != nil {
-			return err
-		}
-		processTrial(trial, hostOut)
-	}
-	return nil
-}
-
-// runTrialsAsync double-buffers the per-trial device resources across two
-// streams: while trial t's shingles transfer back and are aggregated on the
-// CPU, trial t+1's kernels already run — the asynchronous operation the
-// paper names as the path to better performance (Sections III-C, V).
-func runTrialsAsync(dev *gpusim.Device, img batchImage, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, dataWords, numPieces int,
-	processTrial func(int, []uint32)) error {
-
-	type lane struct {
-		hash, out, params *gpusim.Buffer
-		stream            *gpusim.Stream
-		host              []uint32
-		inFlight          int // trial index, -1 when idle
-	}
-	lanes := make([]*lane, 2)
-	// Registered before the allocation loop: a Malloc failure assembling
-	// lane 1 must still release lane 0's buffers.
-	defer func() {
-		for _, l := range lanes {
-			if l == nil {
-				continue
-			}
-			for _, b := range []*gpusim.Buffer{l.hash, l.out, l.params} {
-				if b != nil {
-					b.Free()
-				}
-			}
-		}
-	}()
-	for i := range lanes {
-		l := &lane{
-			stream:   dev.NewStream(),
-			host:     make([]uint32, numPieces*s),
-			inFlight: -1,
-		}
-		lanes[i] = l
-		var err error
-		if needsHashBuf(o) {
-			if l.hash, err = dev.Malloc(dataWords); err != nil {
-				return err
-			}
-		}
-		if l.out, err = dev.Malloc(numPieces * s); err != nil {
-			return err
-		}
-		if o.residentParams == nil {
-			if l.params, err = dev.Malloc(2); err != nil {
-				return err
-			}
-		}
-	}
-
-	drain := func(l *lane) {
-		if l.inFlight >= 0 {
-			l.stream.Synchronize()
-			processTrial(l.inFlight, l.host)
-			l.inFlight = -1
-		}
-	}
-
-	for trial, h := range fam.Pairs {
-		l := lanes[trial%2]
-		drain(l)
-		if l.params != nil {
-			if err := dev.CopyH2DAsync(l.stream, l.params, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
-				return err
-			}
-		}
-		if err := trialKernels(dev, l.stream, img, l.hash, segs, s, o, dataWords, h.A, h.B, l.out, 0); err != nil {
-			return err
-		}
-		if err := dev.CopyD2HAsync(l.stream, l.host, l.out, 0); err != nil {
-			return err
-		}
-		l.inFlight = trial
-	}
-	for _, l := range lanes {
-		drain(l)
-	}
-	return nil
-}
-
 // topSKernel produces each segment's ascending top-s minima, either with the
 // fused selection kernel or — UseFullSort, Algorithm 1 taken literally —
 // a full segmented sort followed by a gather of each segment's head. Both
 // forms enqueue on a stream (nil = synchronous): the sort mutates hashBuf in
-// place, which is safe because every lane of the async and batch-pipelined
-// paths owns a private hash buffer that the next trial's transform rewrites
-// in full. outBase offsets the destination rows so the pipelined path can
-// pack several trials' results into one buffer for a single D2H transfer.
+// place, which is safe because every lane owns a private hash buffer that
+// the next trial's transform rewrites in full. outBase offsets the
+// destination rows so a lane can pack several trials' results into one
+// buffer for a single D2H transfer.
 func topSKernel(dev *gpusim.Device, st *gpusim.Stream, hashBuf *gpusim.Buffer,
 	segs thrust.Segments, s int, outBuf *gpusim.Buffer, outBase int, useFullSort bool) error {
 	if !useFullSort {
@@ -727,42 +488,48 @@ func emitTrialTuples(in *SegGraph, plan batchPlan, s, trial, c int, hostOut []ui
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
 		acct.aggOps += int64(s)
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-
-		if pc.isWhole(in) {
-			if int(listLen) < s {
-				continue // no shingle for short lists
-			}
-			tuplesByTrial[trial] = append(tuplesByTrial[trial], tuple{
-				key:   shingleKey(uint32(trial), vals),
-				owner: in.Owner(pc.list),
-			})
-			stats.Tuples++
+		if !pc.isWhole(in) {
+			mergeSplitPiece(in, pc, s, trial, c, vals, tuplesByTrial, pending, acct, stats)
 			continue
 		}
-
-		// Split list: merge this piece's partial minima.
-		p := pending[pc.list]
-		if p == nil {
-			p = &pendingShingle{perTrial: make([][]uint32, c)}
-			pending[pc.list] = p
+		if int(in.Offsets[pc.list+1]-in.Offsets[pc.list]) < s {
+			continue // no shingle for short lists
 		}
-		p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, s)
-		acct.aggOps += int64(2 * s)
-
-		if pc.hi == listLen && trial == c-1 {
-			// Last piece, last trial: emit every trial's merged shingle.
-			for tj, minima := range p.perTrial {
-				if len(minima) < s {
-					continue // whole list shorter than s
-				}
-				tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-					key:   shingleKey(uint32(tj), minima),
-					owner: in.Owner(pc.list),
-				})
-				stats.Tuples++
-			}
-			delete(pending, pc.list)
-		}
+		tuplesByTrial[trial] = append(tuplesByTrial[trial], tuple{
+			key:   shingleKey(uint32(trial), vals),
+			owner: in.Owner(pc.list),
+		})
+		stats.Tuples++
 	}
+}
+
+// mergeSplitPiece merges one split piece's partial minima for a trial into
+// its list's pending state; the list's last piece in the last trial emits
+// every trial's merged shingle.
+func mergeSplitPiece(in *SegGraph, pc batchPiece, s, trial, c int, vals []uint32,
+	tuplesByTrial [][]tuple, pending map[int]*pendingShingle,
+	acct *cpuAccount, stats *PassStats) {
+
+	p := pending[pc.list]
+	if p == nil {
+		p = &pendingShingle{perTrial: make([][]uint32, c)}
+		pending[pc.list] = p
+	}
+	p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, s)
+	acct.aggOps += int64(2 * s)
+
+	if pc.hi != in.Offsets[pc.list+1]-in.Offsets[pc.list] || trial != c-1 {
+		return
+	}
+	for tj, minima := range p.perTrial {
+		if len(minima) < s {
+			continue // whole list shorter than s
+		}
+		tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
+			key:   shingleKey(uint32(tj), minima),
+			owner: in.Owner(pc.list),
+		})
+		stats.Tuples++
+	}
+	delete(pending, pc.list)
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 
 	"gpclust/internal/gpusim"
-	"gpclust/internal/minwise"
 	"gpclust/internal/thrust"
 )
 
@@ -13,9 +12,10 @@ import (
 // itself is accelerated (52.7s of 66.75s at 20K sequences); its heaviest
 // piece is the per-trial sorting that groups <shingle, owner> tuples. With
 // Options.GPUAggregate the shingle keys are computed and sorted on the
-// device (a shingle-key kernel + thrust sort_by_key), so the CPU only
-// merges pre-sorted streams — a linear scan. The clustering is bit-identical
-// to the serial backend; the virtual-clock CPU column shrinks accordingly
+// device (a shingle-key kernel + thrust sort_by_key, run as a per-trial
+// tail of every lane work item, on any lane count), so the CPU only merges
+// pre-sorted streams — a linear scan. The clustering is bit-identical to
+// the serial backend; the virtual-clock CPU column shrinks accordingly
 // (quantified in the ablations).
 
 // invalidWord marks records of pieces that produce no device-side key
@@ -23,178 +23,98 @@ import (
 // an all-ones record strictly sorts after every real one.
 const invalidWord = 0xFFFFFFFF
 
-// runTrialsGPUAgg runs one batch's trials with device-side key generation
-// and sorting. For split pieces the per-trial minima still come back via
-// small per-row copies and are merged on the CPU as usual.
-func runTrialsGPUAgg(dev *gpusim.Device, in *SegGraph, plan batchPlan, segs thrust.Segments,
-	fam minwise.Family, s int, o Options, img batchImage, dataWords int,
-	tuplesByTrial [][]tuple, sortedByTrial [][][]tuple, pending map[int]*pendingShingle,
-	acct *cpuAccount, stats *PassStats) error {
-
-	numPieces := len(plan.pieces)
-	c := fam.Size()
-
-	var hashBuf *gpusim.Buffer
-	var err error
-	if needsHashBuf(o) {
-		hashBuf, err = dev.Malloc(dataWords)
-		if err != nil {
-			return err
+// stageAggregate builds the batch's per-piece owner ids and validity flags
+// on the host (static per batch, uploaded with the batch image).
+func (w *shingleLanes) stageAggregate(plan *batchPlan) {
+	w.hostOwner, w.hostFlag = w.hostOwner[:0], w.hostFlag[:0]
+	for _, pc := range plan.pieces {
+		var flag uint32
+		if pc.isWhole(w.in) && int(w.in.Offsets[pc.list+1]-w.in.Offsets[pc.list]) >= w.s {
+			flag = 1
 		}
-		defer hashBuf.Free()
+		w.hostOwner = append(w.hostOwner, w.in.Owner(pc.list))
+		w.hostFlag = append(w.hostFlag, flag)
 	}
-	outBuf, err := dev.Malloc(numPieces * s)
-	if err != nil {
-		return err
-	}
-	defer outBuf.Free()
-	var paramsBuf *gpusim.Buffer
-	if o.residentParams == nil {
-		paramsBuf, err = dev.Malloc(2)
-		if err != nil {
-			return err
-		}
-		defer paramsBuf.Free()
-	}
+}
 
-	// Owner ids and validity flags are static per batch: upload once.
-	hostOwner := make([]uint32, numPieces)
-	hostFlag := make([]uint32, numPieces)
-	validCount := 0
-	var splitRows []int
-	for pi, pc := range plan.pieces {
-		hostOwner[pi] = in.Owner(pc.list)
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-		if pc.isWhole(in) && int(listLen) >= s {
-			hostFlag[pi] = 1
-			validCount++
-		} else if !pc.isWhole(in) {
-			splitRows = append(splitRows, pi)
-		}
-	}
-	ownerBuf, err := dev.Malloc(numPieces)
-	if err != nil {
+// aggregateTrial enqueues one trial's device aggregation tail after its
+// shingle kernels: shingle keys over the trial's rows, sort_by_key, and the
+// pack of the valid sorted records into the trial's slot of the lane's
+// record buffer.
+func (w *shingleLanes) aggregateTrial(l *shingleLane, numPieces, valid, trial, t0 int) error {
+	if err := shingleKeyKernel(w.dev, l.stream, l.out, (trial-t0)*numPieces*w.s, l.flag, l.owner,
+		numPieces, w.s, uint32(trial), l.keyHi, l.keyLo, l.val); err != nil {
 		return err
 	}
-	defer ownerBuf.Free()
-	flagBuf, err := dev.Malloc(numPieces)
-	if err != nil {
+	if err := thrust.SortPairs64OnStream(w.dev, l.stream, l.keyHi, l.keyLo, l.val, numPieces); err != nil {
 		return err
 	}
-	defer flagBuf.Free()
-	if err := dev.CopyH2D(ownerBuf, 0, hostOwner); err != nil {
-		return err
-	}
-	if err := dev.CopyH2D(flagBuf, 0, hostFlag); err != nil {
-		return err
-	}
+	return packKernel(w.dev, l.stream, l.keyHi, l.keyLo, l.val, valid, l.recs, (trial-t0)*3*valid)
+}
 
-	keyHi, err := dev.Malloc(numPieces)
-	if err != nil {
+// downloadAggregate enqueues a trial group's device→host transfers: the
+// packed (hi, lo, owner) records of every trial in one copy — packing them
+// into one buffer keeps the per-copy setup cost, the dominant term for
+// small batches (Table I's Data_g→c analysis), to one transfer — then each
+// split piece's minima row per trial, for the CPU-side split-list merge.
+func (w *shingleLanes) downloadAggregate(l *shingleLane, plan *batchPlan, valid, t0, t1 int) error {
+	if err := w.dev.CopyD2HAsync(l.stream, l.hostRecs[:(t1-t0)*3*valid], l.recs, 0); err != nil {
 		return err
 	}
-	defer keyHi.Free()
-	keyLo, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer keyLo.Free()
-	valBuf, err := dev.Malloc(numPieces)
-	if err != nil {
-		return err
-	}
-	defer valBuf.Free()
-	// Packing the sorted (hi, lo, owner) records into one buffer halves the
-	// number of per-trial transfers; the synchronous copy's setup cost is
-	// the dominant term for small batches (Table I's Data_g→c analysis).
-	packed, err := dev.Malloc(3 * numPieces)
-	if err != nil {
-		return err
-	}
-	defer packed.Free()
-
-	hostPacked := make([]uint32, 3*numPieces)
-	hostRow := make([]uint32, s)
-
-	for trial, h := range fam.Pairs {
-		if paramsBuf != nil {
-			if err := dev.CopyH2D(paramsBuf, 0, []uint32{uint32(h.A), uint32(h.B)}); err != nil {
+	rowWords := len(plan.pieces) * w.s
+	for trial := t0; trial < t1; trial++ {
+		for pi, pc := range plan.pieces {
+			if pc.isWhole(w.in) {
+				continue
+			}
+			at := (trial-t0)*rowWords + pi*w.s
+			if err := w.dev.CopyD2HAsync(l.stream, l.hostOut[at:at+w.s], l.out, at); err != nil {
 				return err
 			}
 		}
-		if err := trialKernels(dev, nil, img, hashBuf, segs, s, o, dataWords, h.A, h.B, outBuf, 0); err != nil {
-			return err
-		}
-		if err := shingleKeyKernel(dev, outBuf, flagBuf, ownerBuf, numPieces, s, uint32(trial), keyHi, keyLo, valBuf); err != nil {
-			return err
-		}
-		if err := thrust.SortPairs64(dev, keyHi, keyLo, valBuf, numPieces); err != nil {
-			return err
-		}
-		if err := packKernel(dev, keyHi, keyLo, valBuf, validCount, packed); err != nil {
-			return err
-		}
-		if err := dev.CopyD2H(hostPacked[:3*validCount], packed, 0); err != nil {
-			return err
-		}
-
-		// Linear conversion of the already-sorted stream.
-		before := acct.aggOps
-		stream := make([]tuple, validCount)
-		for i := 0; i < validCount; i++ {
-			stream[i] = tuple{
-				key:   uint64(hostPacked[3*i])<<32 | uint64(hostPacked[3*i+1]),
-				owner: hostPacked[3*i+2],
-			}
-		}
-		sortedByTrial[trial] = append(sortedByTrial[trial], stream)
-		stats.Tuples += int64(validCount)
-		acct.aggOps += int64(validCount)
-
-		// Split pieces: fetch each piece's minima row and merge on the CPU.
-		for _, pi := range splitRows {
-			if err := dev.CopyD2H(hostRow, outBuf, pi*s); err != nil {
-				return err
-			}
-			pc := plan.pieces[pi]
-			p := pending[pc.list]
-			if p == nil {
-				p = &pendingShingle{perTrial: make([][]uint32, c)}
-				pending[pc.list] = p
-			}
-			p.perTrial[trial] = mergeTopS(p.perTrial[trial], hostRow, s)
-			acct.aggOps += int64(2 * s)
-			listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-			if pc.hi == listLen && trial == c-1 {
-				for tj, minima := range p.perTrial {
-					if len(minima) < s {
-						continue
-					}
-					tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-						key:   shingleKey(uint32(tj), minima),
-						owner: in.Owner(pc.list),
-					})
-					stats.Tuples++
-				}
-				delete(pending, pc.list)
-			}
-		}
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
 	}
 	return nil
+}
+
+// completeAggregate consumes a drained trial group: each trial's sorted
+// records become one pre-sorted stream by linear conversion, and its split
+// pieces' rows merge through pending as on the CPU-aggregation path.
+func (w *shingleLanes) completeAggregate(l *shingleLane, plan *batchPlan, valid, t0, t1 int) {
+	rowWords := len(plan.pieces) * w.s
+	for trial := t0; trial < t1; trial++ {
+		recs := l.hostRecs[(trial-t0)*3*valid : (trial-t0+1)*3*valid]
+		stream := make([]tuple, valid)
+		for i := range stream {
+			stream[i] = tuple{
+				key:   uint64(recs[3*i])<<32 | uint64(recs[3*i+1]),
+				owner: recs[3*i+2],
+			}
+		}
+		w.sortedByTrial[trial] = append(w.sortedByTrial[trial], stream)
+		w.stats.Tuples += int64(valid)
+		w.acct.aggOps += int64(valid)
+		for pi, pc := range plan.pieces {
+			if !pc.isWhole(w.in) {
+				at := (trial-t0)*rowWords + pi*w.s
+				mergeSplitPiece(w.in, pc, w.s, trial, w.c, l.hostOut[at:at+w.s],
+					w.tuplesByTrial, w.pending, w.acct, w.stats)
+			}
+		}
+	}
 }
 
 // shingleKeyKernel computes, for each valid segment, the 64-bit FNV-1a
 // shingle identity over (trial, minima) — the same function the CPU path
 // uses, so the two backends group identically — and emits (keyHi, keyLo,
-// owner) records. Invalid segments (split pieces, short lists) emit the
-// all-ones record, which sorts after every real one.
-func shingleKeyKernel(dev *gpusim.Device, out, flags, owners *gpusim.Buffer,
-	numPieces, s int, trial uint32, keyHi, keyLo, val *gpusim.Buffer) error {
+// owner) records from the trial's minima rows at out[outBase:...]. Invalid
+// segments (split pieces, short lists) emit the all-ones record, which
+// sorts after every real one. A nil stream launches synchronously.
+func shingleKeyKernel(dev *gpusim.Device, st *gpusim.Stream, out *gpusim.Buffer, outBase int,
+	flags, owners *gpusim.Buffer, numPieces, s int, trial uint32, keyHi, keyLo, val *gpusim.Buffer) error {
 	const bd = 256
 	grid := (numPieces + bd - 1) / bd
 	dev.NextKernelName("shingle_key")
-	return dev.Launch(grid, bd, func(ctx *gpusim.ThreadCtx) {
+	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		seg := ctx.GlobalID()
 		if seg >= numPieces {
 			return
@@ -210,12 +130,12 @@ func shingleKeyKernel(dev *gpusim.Device, out, flags, owners *gpusim.Buffer,
 			ctx.Ops(3)
 			return
 		}
-		minima := out.Words()[seg*s : (seg+1)*s]
+		minima := out.Words()[outBase+seg*s : outBase+(seg+1)*s]
 		key := shingleKey(trial, minima)
 		keyHi.Words()[seg] = uint32(key >> 32)
 		keyLo.Words()[seg] = uint32(key)
 		val.Words()[seg] = owners.Words()[seg]
-		ctx.GlobalRead(out, seg*s, s, 1)
+		ctx.GlobalRead(out, outBase+seg*s, s, 1)
 		ctx.GlobalRead(owners, seg, 1, 1)
 		ctx.GlobalWrite(keyHi, seg, 1, 1)
 		ctx.GlobalWrite(keyLo, seg, 1, 1)
@@ -225,27 +145,29 @@ func shingleKeyKernel(dev *gpusim.Device, out, flags, owners *gpusim.Buffer,
 }
 
 // packKernel interleaves the first n sorted records' (hi, lo, owner) words
-// into one contiguous buffer for a single device→host transfer.
-func packKernel(dev *gpusim.Device, keyHi, keyLo, val *gpusim.Buffer, n int, packed *gpusim.Buffer) error {
+// into packed[base:base+3n] for a single device→host transfer. A nil
+// stream launches synchronously.
+func packKernel(dev *gpusim.Device, st *gpusim.Stream, keyHi, keyLo, val *gpusim.Buffer, n int,
+	packed *gpusim.Buffer, base int) error {
 	if n == 0 {
 		return nil
 	}
 	const bd = 256
 	grid := (n + bd - 1) / bd
 	dev.NextKernelName("pack_records")
-	return dev.Launch(grid, bd, func(ctx *gpusim.ThreadCtx) {
+	return dev.LaunchOnStream(st, grid, bd, func(ctx *gpusim.ThreadCtx) {
 		i := ctx.GlobalID()
 		if i >= n {
 			return
 		}
-		p := packed.Words()
+		p := packed.Words()[base:]
 		p[3*i] = keyHi.Words()[i]
 		p[3*i+1] = keyLo.Words()[i]
 		p[3*i+2] = val.Words()[i]
 		ctx.GlobalRead(keyHi, i, 1, 1)
 		ctx.GlobalRead(keyLo, i, 1, 1)
 		ctx.GlobalRead(val, i, 1, 1)
-		ctx.GlobalWrite(packed, 3*i, 3, 1)
+		ctx.GlobalWrite(packed, base+3*i, 3, 1)
 		ctx.Ops(3)
 	})
 }

@@ -79,20 +79,6 @@ func TestGPUAggregateReducesCPUTime(t *testing.T) {
 	}
 }
 
-func TestGPUAggregateInvalidCombos(t *testing.T) {
-	o := testOptions()
-	o.GPUAggregate = true
-	o.AsyncTransfer = true
-	if err := o.Validate(); err == nil {
-		t.Fatal("GPUAggregate+AsyncTransfer accepted")
-	}
-	o.AsyncTransfer = false
-	o.UseFullSort = true
-	if err := o.Validate(); err == nil {
-		t.Fatal("GPUAggregate+UseFullSort accepted")
-	}
-}
-
 func TestMergeSortedStreams(t *testing.T) {
 	acct := &cpuAccount{}
 	a := []tuple{{1, 1}, {3, 2}, {5, 0}}

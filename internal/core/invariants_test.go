@@ -31,9 +31,9 @@ func TestInvariantsGPUSweep(t *testing.T) {
 		mod  func(*Options)
 	}{
 		{"sync", func(o *Options) {}},
-		{"async", func(o *Options) { o.AsyncTransfer = true }},
-		{"pipeline", func(o *Options) { o.PipelineBatches = true }},
+		{"lanes2", func(o *Options) { o.lanes = 2 }},
 		{"gpuagg", func(o *Options) { o.GPUAggregate = true }},
+		{"gpuagg lanes3", func(o *Options) { o.GPUAggregate = true; o.lanes = 3 }},
 		{"smallbatch", func(o *Options) { o.BatchWords = 4096 }},
 	}
 	for _, v := range variants {

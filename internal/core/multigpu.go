@@ -33,8 +33,8 @@ func ClusterMultiGPU(g *graph.Graph, devs []*gpusim.Device, o Options) (*Result,
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	if o.AsyncTransfer || o.GPUAggregate {
-		return nil, fmt.Errorf("core: ClusterMultiGPU supports the synchronous CPU-aggregation pipeline only")
+	if o.GPUAggregate {
+		return nil, fmt.Errorf("core: ClusterMultiGPU supports the CPU-aggregation pipeline only")
 	}
 	fam1, fam2 := o.families()
 	acct := &cpuAccount{}
@@ -187,17 +187,22 @@ func runPassMultiGPU(devs []*gpusim.Device, resident []*gpusim.Buffer, in *SegGr
 	}
 	stats.SplitLists = len(splitLists)
 
+	envs := make([]*batchEnv, len(devs))
+	for i, dev := range devs {
+		od := o
+		od.residentParams = resident[i]
+		envs[i] = &batchEnv{dev: dev, in: in, fam: fam, s: s, o: od, label: label,
+			tuplesByTrial: tuplesByTrial, pending: pending, acct: acct, stats: stats, rec: rec}
+	}
 	for i, plan := range plans {
 		dev := devs[i%len(devs)]
-		od := o
-		od.residentParams = resident[i%len(devs)]
 		var end obs.Ending
 		var t0 float64
 		if o.Obs.Enabled() {
 			t0 = dev.HostTime()
 			end = o.Obs.Start(obs.TrackBatches, fmt.Sprintf("%s.b%d.dev%d", label, i, i%len(devs)), t0)
 		}
-		if err := runBatchResilient(dev, in, fam, s, od, plan, tuplesByTrial, nil, pending, acct, stats, rec); err != nil {
+		if err := runBatchResilient(envs[i%len(devs)], i, plan); err != nil {
 			return nil, err
 		}
 		if o.Obs.Enabled() {

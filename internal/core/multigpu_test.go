@@ -87,11 +87,11 @@ func TestMultiGPUValidation(t *testing.T) {
 		t.Fatal("no devices accepted")
 	}
 	devs := []*gpusim.Device{gpusim.MustNew(gpusim.K20Config()), gpusim.MustNew(gpusim.K20Config())}
-	o.AsyncTransfer = true
+	o.GPUAggregate = true
 	if _, err := ClusterMultiGPU(g, devs, o); err == nil {
-		t.Fatal("async multi-GPU accepted (unsupported)")
+		t.Fatal("GPU-aggregate multi-GPU accepted (unsupported)")
 	}
-	o.AsyncTransfer = false
+	o.GPUAggregate = false
 	// Single device delegates to ClusterGPU.
 	res, err := ClusterMultiGPU(g, devs[:1], o)
 	if err != nil {

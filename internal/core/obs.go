@@ -96,7 +96,7 @@ func recordRunMetrics(r *obs.Recorder, res *Result) {
 	r.Counter("gpclust_fault_host_fallbacks",
 		"Batches degraded to the bit-identical host path.").Add(f.HostFallbacks)
 	r.Counter("gpclust_fault_pipeline_restarts",
-		"Pipelined passes restarted from a clean slate.").Add(f.Restarts)
+		"Multi-lane passes restarted from a clean slate.").Add(f.Restarts)
 	r.Gauge("gpclust_fault_backoff_ns",
 		"Virtual-clock backoff burned between fault retries.").Set(f.BackoffNs)
 }

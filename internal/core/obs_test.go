@@ -40,7 +40,7 @@ func runObsGPU(t *testing.T, rec *obs.Recorder, inj gpusim.FaultInjector, mut fu
 // clustering and virtual timings as a run without one.
 func TestObsDisabledBitIdentical(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
-		mut := func(o *Options) { o.PipelineBatches = pipeline }
+		mut := func(o *Options) { o.lanes = lanesFor(pipeline) }
 		plain, _ := runObsGPU(t, nil, nil, mut)
 		traced, _ := runObsGPU(t, obs.New(), nil, mut)
 		if !reflect.DeepEqual(plain.Clustering, traced.Clustering) {
@@ -51,6 +51,14 @@ func TestObsDisabledBitIdentical(t *testing.T) {
 				pipeline, plain.Timings, traced.Timings)
 		}
 	}
+}
+
+// lanesFor maps a test's pipelined switch to the fixed plan's lane count.
+func lanesFor(pipelined bool) int {
+	if pipelined {
+		return 2
+	}
+	return 1
 }
 
 // near asserts relative closeness of two virtual durations accumulated in
@@ -64,7 +72,7 @@ func near(a, b float64) bool {
 func TestObsTableSplitMatchesTimings(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
 		rec := obs.New()
-		res, tl := runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = pipeline })
+		res, tl := runObsGPU(t, rec, nil, func(o *Options) { o.lanes = lanesFor(pipeline) })
 		sp := obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{tl})
 		tm := res.Timings
 		for _, c := range []struct {
@@ -90,7 +98,7 @@ func TestObsTableSplitMatchesTimings(t *testing.T) {
 // the five host phases in order, per-batch spans, and both lane tracks.
 func TestObsPhasesAndLanes(t *testing.T) {
 	rec := obs.New()
-	runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = true })
+	runObsGPU(t, rec, nil, func(o *Options) { o.lanes = 2 })
 	var phases []string
 	tracks := map[string]int{}
 	for _, s := range rec.Spans() {
@@ -125,7 +133,7 @@ func TestObsCountersMatchResult(t *testing.T) {
 	inj := faults.NewInjector(sched)
 	rec := obs.New()
 	inj.SetRecorder(rec)
-	res, _ := runObsGPU(t, rec, inj, func(o *Options) { o.PipelineBatches = true })
+	res, _ := runObsGPU(t, rec, inj, func(o *Options) { o.lanes = 2 })
 	if !res.Faults.Any() {
 		t.Fatal("fault schedule fired nothing; test needs a faulted run")
 	}
@@ -205,7 +213,7 @@ func stripWall(t *testing.T, raw []byte) []byte {
 func TestObsExportsDeterministic(t *testing.T) {
 	export := func() ([]byte, []byte) {
 		rec := obs.New()
-		_, tl := runObsGPU(t, rec, nil, func(o *Options) { o.PipelineBatches = true })
+		_, tl := runObsGPU(t, rec, nil, func(o *Options) { o.lanes = 2 })
 		var trace, metrics bytes.Buffer
 		if err := obs.WriteMergedTrace(&trace, rec, []obs.DeviceTimeline{tl}); err != nil {
 			t.Fatal(err)

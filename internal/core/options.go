@@ -63,14 +63,16 @@ type Options struct {
 	// and the CPU merges the partial shingle results (Section III-C).
 	BatchWords int
 
-	// AutoTune lets the scheduler pick the batch word budget and pipeline
-	// lane count by predicted virtual time: candidate plans (a geometric
-	// budget sweep crossed with the feasible lane counts) are replayed
-	// through the calibrated cost model (internal/sched) and the argmin
-	// runs. Ignored when BatchWords is set explicitly. The clustering is
-	// bit-identical for every plan; only the virtual schedule changes.
-	// The chosen plan and its predicted-vs-actual cost are reported in
-	// PassStats.Plan.
+	// AutoTune lets the scheduler pick the pass plan — batch word budget ×
+	// lane count (1–4) × kernel fusion — by predicted virtual time:
+	// candidate plans are replayed through the calibrated cost model
+	// (internal/sched) and the argmin runs. Ignored when BatchWords is set
+	// explicitly. Fixed plans run on one lane, the paper's sequential
+	// per-trial schedule (Section III-C); more lanes coalesce the
+	// per-trial transfers and overlap the copy engine, the kernels and the
+	// host merge across batches. The clustering is bit-identical for every
+	// plan; only the virtual schedule changes. The chosen plan and its
+	// predicted-vs-actual cost are reported in PassStats.Plan.
 	AutoTune bool
 
 	// PredictCost runs the cost model for the fixed plan too (BatchWords
@@ -84,18 +86,15 @@ type Options struct {
 	// kept for the ablation study.
 	UseFullSort bool
 
-	// AsyncTransfer overlaps device→host shingle transfers and the next
-	// trial's kernels with CPU-side aggregation using streams, the
-	// improvement the paper leaves as future work ("Better performance
-	// could be achieved through asynchronous operations", Section III-C).
-	AsyncTransfer bool
-
 	// GPUAggregate moves the shingle-key computation and the per-trial
 	// tuple sorting onto the device (shingle-key kernel + sort_by_key),
 	// leaving the CPU a linear merge of pre-sorted streams — an extension
-	// beyond the paper targeting Table I's dominant CPU column. Output is
-	// bit-identical to the other backends. Incompatible with AsyncTransfer
-	// and UseFullSort.
+	// beyond the paper targeting Table I's dominant CPU column. It runs on
+	// every plan (any lane count, fused or not, UseFullSort included);
+	// output is bit-identical to the other backends. It stays a user
+	// choice rather than a cost-model plan dimension: it wins on the
+	// virtual clock but costs the host simulator far more wall time and
+	// memory. Not supported by ClusterMultiGPU.
 	GPUAggregate bool
 
 	// Workers sizes the host worker pool: the ClusterParallel backend's
@@ -135,16 +134,6 @@ type Options struct {
 	// wrapping ErrRetryBudget instead of degrading gracefully.
 	NoHostFallback bool
 
-	// PipelineBatches double-buffers the GPU path's device batches across
-	// two streams: batch k+1's host→device staging and kernels are enqueued
-	// while batch k-1's shingles are still in flight to the host and being
-	// merged by the CPU, so on the virtual clock the copy engine, the
-	// compute engine and host aggregation overlap across batch boundaries
-	// (the strictly sequential loop is the paper's stated bottleneck,
-	// Section III-C). Identical output. Subsumes AsyncTransfer (setting
-	// both is an error) and is incompatible with GPUAggregate.
-	PipelineBatches bool
-
 	// Packed ships each batch's adjacency data as a packed device image —
 	// every value at the pass's MinBits width instead of one per 32-bit
 	// word — cutting the bandwidth-proportional part of every H2D copy by
@@ -161,6 +150,10 @@ type Options struct {
 	// (the fused kernel runs the hash work at one-thread-per-segment
 	// occupancy); fixed plans fuse unconditionally. Bit-identical output.
 	Fuse bool
+
+	// lanes pins the lane count of fixed (not auto-tuned) plans; 0 means
+	// one lane, the paper's schedule. Set through FixedLanes.
+	lanes int
 
 	// fusedPlan is the resolved fusion decision for the running pass: Fuse
 	// gated by the cost model under AutoTune. Set by runPassGPU.
@@ -207,22 +200,22 @@ func (o Options) Validate() error {
 	if o.BatchWords < 0 {
 		return fmt.Errorf("core: negative BatchWords %d", o.BatchWords)
 	}
-	if o.GPUAggregate && (o.AsyncTransfer || o.UseFullSort) {
-		return fmt.Errorf("core: GPUAggregate is incompatible with AsyncTransfer and UseFullSort")
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
 	}
 	if o.RetryBackoffNs < 0 {
 		return fmt.Errorf("core: negative RetryBackoffNs %g", o.RetryBackoffNs)
 	}
-	if o.PipelineBatches && o.GPUAggregate {
-		return fmt.Errorf("core: PipelineBatches is incompatible with GPUAggregate")
-	}
-	if o.PipelineBatches && o.AsyncTransfer {
-		return fmt.Errorf("core: PipelineBatches already overlaps transfers; drop AsyncTransfer")
-	}
 	return nil
+}
+
+// FixedLanes returns o with its fixed plans pinned to the given lane count
+// (0 or 1: the paper's schedule). The ablations use it to price a
+// multi-lane schedule against the paper's loop; it is not part of the
+// public Options surface, where lanes are the auto-tuner's choice.
+func FixedLanes(o Options, lanes int) Options {
+	o.lanes = lanes
+	return o
 }
 
 // workerCount resolves Workers to a concrete pool size.

@@ -31,6 +31,9 @@ func TestPackedEquivalenceAllBackends(t *testing.T) {
 	}
 	for _, b := range chaosBackends(batchWords) {
 		for _, m := range modes {
+			if b.sampled() && m.name != "packed" {
+				continue // packed+fused is the default every chaos sweep runs
+			}
 			o := base
 			o.Packed, o.Fuse = m.packed, m.fuse
 			res, err := b.run(nil, g, o)
@@ -93,6 +96,9 @@ func TestPackedChaosEquivalence(t *testing.T) {
 	o.Packed, o.Fuse = true, true
 
 	for _, b := range chaosBackends(o.BatchWords) {
+		if b.sampled() {
+			continue // packed+fused is the default TestChaosSweepAllBackends runs them in
+		}
 		clean, err := b.run(nil, g, o)
 		if err != nil {
 			t.Fatalf("%s clean run: %v", b.name, err)

@@ -83,8 +83,8 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			return false
 		}
 
-		// Batch-pipelined GPU variant on the same batch budget.
-		o.PipelineBatches = true
+		// 2-lane GPU plan on the same batch budget.
+		o.lanes = 2
 		devP := gpusim.MustNew(gpusim.K20Config())
 		pipe, err := ClusterGPU(g, devP, o)
 		if err != nil {
@@ -95,7 +95,7 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			t.Logf("pipelined clustering differs (batch=%d)", o.BatchWords)
 			return false
 		}
-		o.PipelineBatches = false
+		o.lanes = 0
 
 		// GPU aggregation variant.
 		o.GPUAggregate = true

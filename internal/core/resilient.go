@@ -59,39 +59,58 @@ type pendSnap struct {
 	saved *pendingShingle
 }
 
-// batchSnapshot captures the aggregation state a batch attempt may mutate,
-// so a failed attempt can roll back and the retry emits every tuple
-// exactly once. Only lengths are recorded for the tuple streams (appends
-// are the only mutation) and only the batch's own split lists are copied
-// from pending (mergeTopS builds fresh slices, so row sharing is safe).
-type batchSnapshot struct {
+// outputMark records the lengths of a run's output streams. Appends are
+// their only mutation, so truncating back to a mark undoes an attempt.
+type outputMark struct {
 	tupleLens  []int
 	sortedLens []int
-	pend       []pendSnap
 	tuples     int64
 }
 
-func snapshotBatch(in *SegGraph, plan batchPlan, tuplesByTrial [][]tuple,
-	sortedByTrial [][][]tuple, pending map[int]*pendingShingle, stats *PassStats) *batchSnapshot {
-
-	snap := &batchSnapshot{tuples: stats.Tuples, tupleLens: make([]int, len(tuplesByTrial))}
-	for i := range tuplesByTrial {
-		snap.tupleLens[i] = len(tuplesByTrial[i])
+func (e *batchEnv) mark() outputMark {
+	m := outputMark{tuples: e.stats.Tuples, tupleLens: make([]int, len(e.tuplesByTrial))}
+	for i := range e.tuplesByTrial {
+		m.tupleLens[i] = len(e.tuplesByTrial[i])
 	}
-	if sortedByTrial != nil {
-		snap.sortedLens = make([]int, len(sortedByTrial))
-		for i := range sortedByTrial {
-			snap.sortedLens[i] = len(sortedByTrial[i])
+	if e.sortedByTrial != nil {
+		m.sortedLens = make([]int, len(e.sortedByTrial))
+		for i := range e.sortedByTrial {
+			m.sortedLens[i] = len(e.sortedByTrial[i])
 		}
 	}
+	return m
+}
+
+func (e *batchEnv) truncate(m outputMark) {
+	for i := range e.tuplesByTrial {
+		e.tuplesByTrial[i] = e.tuplesByTrial[i][:m.tupleLens[i]]
+	}
+	for i := range m.sortedLens {
+		e.sortedByTrial[i] = e.sortedByTrial[i][:m.sortedLens[i]]
+	}
+	e.stats.Tuples = m.tuples
+}
+
+// batchSnapshot captures the aggregation state a batch attempt may mutate,
+// so a failed attempt can roll back and the retry emits every tuple
+// exactly once: the output stream lengths, and a copy of the pending state
+// of the batch's own split lists (mergeTopS builds fresh slices, so row
+// sharing is safe).
+type batchSnapshot struct {
+	outputMark
+	pend []pendSnap
+}
+
+func (e *batchEnv) snapshot(plan batchPlan) *batchSnapshot {
+	snap := &batchSnapshot{outputMark: e.mark()}
 	seen := make(map[int]bool)
 	for _, pc := range plan.pieces {
-		if pc.isWhole(in) || seen[pc.list] {
+		if pc.isWhole(e.in) || seen[pc.list] {
 			continue
 		}
 		seen[pc.list] = true
 		var saved *pendingShingle
-		if p := pending[pc.list]; p != nil {
+		if p := e.pending[pc.list]; p != nil {
 			saved = &pendingShingle{perTrial: make([][]uint32, len(p.perTrial))}
 			copy(saved.perTrial, p.perTrial)
 		}
@@ -100,23 +119,15 @@ func snapshotBatch(in *SegGraph, plan batchPlan, tuplesByTrial [][]tuple,
 	return snap
 }
 
-func (snap *batchSnapshot) restore(tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, stats *PassStats) {
-
-	for i := range tuplesByTrial {
-		tuplesByTrial[i] = tuplesByTrial[i][:snap.tupleLens[i]]
-	}
-	for i := range snap.sortedLens {
-		sortedByTrial[i] = sortedByTrial[i][:snap.sortedLens[i]]
-	}
+func (e *batchEnv) restore(snap *batchSnapshot) {
+	e.truncate(snap.outputMark)
 	for _, ps := range snap.pend {
 		if ps.saved == nil {
-			delete(pending, ps.list)
+			delete(e.pending, ps.list)
 		} else {
-			pending[ps.list] = ps.saved
+			e.pending[ps.list] = ps.saved
 		}
 	}
-	stats.Tuples = snap.tuples
 }
 
 // splitBatchPlan halves a plan: by piece count when it holds several
@@ -155,29 +166,31 @@ type batchEnv struct {
 	fam           minwise.Family
 	s             int
 	o             Options
+	label         string // pass label, for span names
 	tuplesByTrial [][]tuple
-	sortedByTrial [][][]tuple
+	sortedByTrial [][][]tuple // GPUAggregate only
 	pending       map[int]*pendingShingle
 	acct          *cpuAccount
 	stats         *PassStats
 	rec           *faults.Recovery
 }
 
-// coreBatch adapts one shingling batch to sched.Batch: an attempt snapshots
-// the aggregation state and rolls back on any failure, a split halves the
-// plan, and the fallback replays the batch through the host shingler.
+// coreBatch adapts one shingling batch to sched.Batch: an attempt is a
+// 1-lane run of the batch that snapshots the aggregation state and rolls
+// back on any failure, a split halves the plan, and the fallback replays
+// the batch through the host shingler.
 type coreBatch struct {
-	env  *batchEnv
-	plan batchPlan
+	env   *batchEnv
+	index int // batch index within the pass (span names)
+	plan  batchPlan
 }
 
 func (b coreBatch) Attempt() error {
 	e := b.env
-	snap := snapshotBatch(e.in, b.plan, e.tuplesByTrial, e.sortedByTrial, e.pending, e.stats)
-	err := runBatch(e.dev, e.in, e.fam, e.s, e.o, b.plan, e.tuplesByTrial,
-		e.sortedByTrial, e.pending, e.acct, e.stats)
+	snap := e.snapshot(b.plan)
+	err := runShingleLanes(e, b.index, []batchPlan{b.plan}, 1)
 	if err != nil {
-		snap.restore(e.tuplesByTrial, e.sortedByTrial, e.pending, e.stats)
+		e.restore(snap)
 	}
 	return err
 }
@@ -187,32 +200,22 @@ func (b coreBatch) Split() (sched.Batch, sched.Batch, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return coreBatch{b.env, left}, coreBatch{b.env, right}, true
+	return coreBatch{b.env, b.index, left}, coreBatch{b.env, b.index, right}, true
 }
 
-func (b coreBatch) Fallback() {
-	e := b.env
-	runBatchHost(e.dev, e.in, e.fam, e.s, e.o, b.plan, e.tuplesByTrial,
-		e.sortedByTrial, e.pending, e.acct, e.stats)
-}
+func (b coreBatch) Fallback() { runBatchHost(b.env, b.plan) }
 
 func (b coreBatch) WrapErr(retries int, last error) error {
 	return fmt.Errorf("core: batch of %d pieces failed after %d retries: %w (last: %v)",
 		len(b.plan.pieces), retries, ErrRetryBudget, last)
 }
 
-// runBatchResilient is runBatch wrapped in the recovery ladder: retry with
-// backoff while the budget lasts, then split on persistent OOM, then
-// degrade to the host path (or fail typed under NoHostFallback).
-func runBatchResilient(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats,
-	rec *faults.Recovery) error {
-
-	env := &batchEnv{dev: dev, in: in, fam: fam, s: s, o: o,
-		tuplesByTrial: tuplesByTrial, sortedByTrial: sortedByTrial,
-		pending: pending, acct: acct, stats: stats}
-	return o.runner(dev, rec).Run(coreBatch{env, plan})
+// runBatchResilient runs one batch on a single lane inside the recovery
+// ladder: retry with backoff while the budget lasts, then split on
+// persistent OOM, then degrade to the host path (or fail typed under
+// NoHostFallback).
+func runBatchResilient(e *batchEnv, index int, plan batchPlan) error {
+	return e.o.runner(e.dev, e.rec).Run(coreBatch{e, index, plan})
 }
 
 // hostTopS mirrors the thrust.SegmentedTopS kernel on the host: dst (s
@@ -266,17 +269,15 @@ func hostTopS(src []uint32, s int, dst []uint32) {
 // through the same aggregation code. It cannot fail, which makes it the
 // recovery ladder's last resort; its cost is charged at the serial
 // backend's shingling price (this is 2008-era host shingling).
-func runBatchHost(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o Options,
-	plan batchPlan, tuplesByTrial [][]tuple, sortedByTrial [][][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats) {
-
+func runBatchHost(e *batchEnv, plan batchPlan) {
+	in, s, acct := e.in, e.s, e.acct
 	numPieces := len(plan.pieces)
-	c := fam.Size()
+	c := e.fam.Size()
 	hostOut := make([]uint32, numPieces*s)
 	hashed := make([]uint32, 0, plan.words)
 	var shingleOps int64
 
-	for trial, h := range fam.Pairs {
+	for trial, h := range e.fam.Pairs {
 		for pi, pc := range plan.pieces {
 			base := in.Offsets[pc.list]
 			data := in.Data[base+pc.lo : base+pc.hi]
@@ -288,16 +289,16 @@ func runBatchHost(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int, o
 			shingleOps += shingleListOps(len(data), s)
 		}
 		before := acct.aggOps
-		if sortedByTrial != nil {
-			emitTrialAggHost(in, plan, s, trial, c, hostOut, tuplesByTrial,
-				sortedByTrial, pending, acct, stats)
+		if e.sortedByTrial != nil {
+			emitTrialAggHost(in, plan, s, trial, c, hostOut, e.tuplesByTrial,
+				e.sortedByTrial, e.pending, acct, e.stats)
 		} else {
-			emitTrialTuples(in, plan, s, trial, c, hostOut, tuplesByTrial, pending, acct, stats)
+			emitTrialTuples(in, plan, s, trial, c, hostOut, e.tuplesByTrial, e.pending, acct, e.stats)
 		}
-		chargeHost(dev, o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
+		chargeHost(e.dev, e.o.Obs, "aggregate", float64(acct.aggOps-before)*AggregateNsPerOp)
 	}
 	acct.serialOps += shingleOps
-	chargeHost(dev, o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
+	chargeHost(e.dev, e.o.Obs, obs.NameShingle, float64(shingleOps)*SerialShingleNsPerOp)
 }
 
 // emitTrialAggHost is the GPUAggregate-mode twin of emitTrialTuples for
@@ -312,37 +313,17 @@ func emitTrialAggHost(in *SegGraph, plan batchPlan, s, trial, c int, hostOut []u
 	var stream []tuple
 	for pi, pc := range plan.pieces {
 		vals := hostOut[pi*s : (pi+1)*s]
-		listLen := in.Offsets[pc.list+1] - in.Offsets[pc.list]
-		if pc.isWhole(in) {
-			if int(listLen) < s {
-				continue
-			}
-			stream = append(stream, tuple{
-				key:   shingleKey(uint32(trial), vals),
-				owner: in.Owner(pc.list),
-			})
+		if !pc.isWhole(in) {
+			mergeSplitPiece(in, pc, s, trial, c, vals, tuplesByTrial, pending, acct, stats)
 			continue
 		}
-		p := pending[pc.list]
-		if p == nil {
-			p = &pendingShingle{perTrial: make([][]uint32, c)}
-			pending[pc.list] = p
+		if int(in.Offsets[pc.list+1]-in.Offsets[pc.list]) < s {
+			continue
 		}
-		p.perTrial[trial] = mergeTopS(p.perTrial[trial], vals, s)
-		acct.aggOps += int64(2 * s)
-		if pc.hi == listLen && trial == c-1 {
-			for tj, minima := range p.perTrial {
-				if len(minima) < s {
-					continue
-				}
-				tuplesByTrial[tj] = append(tuplesByTrial[tj], tuple{
-					key:   shingleKey(uint32(tj), minima),
-					owner: in.Owner(pc.list),
-				})
-				stats.Tuples++
-			}
-			delete(pending, pc.list)
-		}
+		stream = append(stream, tuple{
+			key:   shingleKey(uint32(trial), vals),
+			owner: in.Owner(pc.list),
+		})
 	}
 	sortTuples(stream)
 	sortedByTrial[trial] = append(sortedByTrial[trial], stream)
@@ -350,67 +331,44 @@ func emitTrialAggHost(in *SegGraph, plan batchPlan, s, trial, c int, hostOut []u
 	acct.aggOps += int64(len(stream))
 }
 
-// corePass adapts the whole pipelined pass to sched.Pass. The pipelined
-// pass interleaves every batch's device work, so there is no per-batch
-// state to roll back to; instead a faulted pass restarts whole (Reset
-// returns the output state to the pre-pass snapshot), and when the restart
-// budget is exhausted it degrades to the sequential resilient loop — which
-// recovers per batch, splits on OOM and can fall back to the host, so it
-// completes whenever recovery is possible at all.
+// corePass adapts a multi-lane pass to sched.Pass. Its lanes interleave
+// every batch's device work, so there is no per-batch state to roll back
+// to; instead a faulted pass restarts whole (Reset truncates the output
+// streams to their pre-pass marks and clears pending, which is empty at
+// pass entry), and when the restart budget is exhausted it degrades to
+// the 1-lane per-batch ladder — which recovers per batch, splits on OOM
+// and can fall back to the host, so it completes whenever recovery is
+// possible at all.
 type corePass struct {
 	env   *batchEnv
-	label string
 	plans []batchPlan
 	lanes int
-
-	tupleLens []int // pre-pass tuple stream lengths
-	tuples    int64 // pre-pass stats.Tuples
+	start outputMark
 }
 
-func (p *corePass) Attempt() error {
-	e := p.env
-	return runBatchesPipelined(e.dev, e.in, e.fam, e.s, e.o, p.label, p.plans, p.lanes,
-		e.tuplesByTrial, e.pending, e.acct, e.stats)
-}
+func (p *corePass) Attempt() error { return runShingleLanes(p.env, 0, p.plans, p.lanes) }
 
 func (p *corePass) Reset() {
-	e := p.env
-	for i := range e.tuplesByTrial {
-		e.tuplesByTrial[i] = e.tuplesByTrial[i][:p.tupleLens[i]]
-	}
-	clear(e.pending)
-	e.stats.Tuples = p.tuples
+	p.env.truncate(p.start)
+	clear(p.env.pending)
 }
 
-// Settle is a no-op: runBatchesPipelined synchronizes its lanes before
-// returning an error, so the device is already quiet.
+// Settle is a no-op: the simulator executes enqueued work eagerly, so a
+// failed lane run leaves no device operation outstanding.
 func (p *corePass) Settle() {}
 
 func (p *corePass) Degrade() error {
-	e := p.env
-	for _, plan := range p.plans {
-		if err := runBatchResilient(e.dev, e.in, e.fam, e.s, e.o, plan, e.tuplesByTrial,
-			nil, e.pending, e.acct, e.stats, e.rec); err != nil {
+	for i, plan := range p.plans {
+		if err := runBatchResilient(p.env, i, plan); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runBatchesPipelinedResilient wraps the double-buffered pass in the
-// restart ladder (sched.Runner.RunPass). pending must be empty at entry
-// (it is: the pass is the first writer).
-func runBatchesPipelinedResilient(dev *gpusim.Device, in *SegGraph, fam minwise.Family, s int,
-	o Options, label string, plans []batchPlan, lanes int, tuplesByTrial [][]tuple,
-	pending map[int]*pendingShingle, acct *cpuAccount, stats *PassStats,
-	rec *faults.Recovery) error {
-
-	env := &batchEnv{dev: dev, in: in, fam: fam, s: s, o: o,
-		tuplesByTrial: tuplesByTrial, pending: pending, acct: acct, stats: stats, rec: rec}
-	pass := &corePass{env: env, label: label, plans: plans, lanes: lanes,
-		tupleLens: make([]int, len(tuplesByTrial)), tuples: stats.Tuples}
-	for i := range tuplesByTrial {
-		pass.tupleLens[i] = len(tuplesByTrial[i])
-	}
-	return o.runner(dev, rec).RunPass(pass)
+// runPassLanes runs a whole pass on the given lane count inside the
+// restart ladder (sched.Runner.RunPass).
+func runPassLanes(e *batchEnv, plans []batchPlan, lanes int) error {
+	pass := &corePass{env: e, plans: plans, lanes: lanes, start: e.mark()}
+	return e.o.runner(e.dev, e.rec).RunPass(pass)
 }

@@ -65,7 +65,7 @@ type Config struct {
 	// GPUPipeline double-buffers the batch stream across two CUDA-style
 	// streams, so batch k+1's host→device staging overlaps batch k's
 	// kernels and score readback (the machinery the shingling pass uses
-	// for PipelineBatches, applied to alignment).
+	// for multi-lane plans, applied to alignment).
 	GPUPipeline bool
 
 	// GPUBatchWords caps one batch's device footprint in words (score
