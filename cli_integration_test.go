@@ -190,8 +190,6 @@ func TestCLIFailurePaths(t *testing.T) {
 				"-faults", "h2d op=1 count=1000000", "-retries", "1", "-nofallback"},
 			"retry budget exhausted"},
 		{"pgraph missing input", pgraphBin, []string{"-in", missing}, "no-such-file"},
-		{"pgraph pipeline without gpu", pgraphBin,
-			[]string{"-in", fasta, "-pipeline"}, "-pipeline requires -gpu"},
 		{"pgraph bad schedule", pgraphBin,
 			[]string{"-in", fasta, "-gpu", "-faults", "h2d op="}, "faults"},
 		{"pgraph fault storm no fallback", pgraphBin,
@@ -292,7 +290,7 @@ func TestCLIObservability(t *testing.T) {
 
 	pTrace := filepath.Join(dir, "pgraph-trace.json")
 	pMetrics := filepath.Join(dir, "pgraph-metrics.txt")
-	run(t, pgraphBin, "-in", fasta, "-out", graphF, "-gpu", "-pipeline",
+	run(t, pgraphBin, "-in", fasta, "-out", graphF, "-gpu",
 		"-batchwords", "8000", "-trace", pTrace, "-metrics", pMetrics)
 	if evs := readTraceFile(t, pTrace); len(evs) == 0 {
 		t.Fatal("pgraph trace has no events")

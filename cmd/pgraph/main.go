@@ -7,7 +7,7 @@
 //
 //	pgraph -in orfs.fa -out graph.txt
 //	pgraph -in orfs.fa -out graph.bin -minmatch 12 -score 1.2
-//	pgraph -in orfs.fa -out graph.txt -gpu -pipeline
+//	pgraph -in orfs.fa -out graph.txt -gpu
 //	pgraph -in orfs.fa -out graph.txt -gpu -filter cascade -bands conservative
 //	pgraph -in orfs.fa -out graph.txt -filter lsh -bands 64 -rows 1
 //
@@ -46,7 +46,6 @@ func main() {
 		score    = flag.Float64("score", 1.2, "Smith-Waterman score threshold per residue of the shorter sequence")
 		workers  = flag.Int("workers", 0, "alignment workers (0 = GOMAXPROCS)")
 		gpu      = flag.Bool("gpu", false, "verify candidate pairs on the simulated GPU (batched Smith-Waterman)")
-		pipeline = flag.Bool("pipeline", false, "with -gpu: double-buffer device batches (overlap copies and kernels)")
 		batchW   = flag.String("batchwords", "auto", "with -gpu: per-batch device budget in words; \"auto\" lets the cost model pick budget and lanes, 0 derives from device memory")
 		packed   = flag.Bool("packed", true, "with -gpu: stage batch residues as a 5-bit packed device image")
 		fuse     = flag.Bool("fuse", true, "with -gpu -packed: let the SW kernel decode the packed image in place where the cost model says it wins")
@@ -78,7 +77,7 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*pipeline, "-pipeline"}, {*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
+			{*batchW != "auto", "-batchwords"}, {*noBin, "-nobin"},
 			{*faultSch != "", "-faults"}, {*retries != 0, "-retries"}, {*noFB, "-nofallback"},
 			{*trace != "", "-trace"}, {!*packed, "-packed=false"}, {!*fuse, "-fuse=false"},
 		} {
@@ -131,7 +130,6 @@ func main() {
 	cfg.LSHBands = lshBands
 	cfg.LSHRows = *rows
 	cfg.GPU = *gpu
-	cfg.GPUPipeline = *pipeline
 	cfg.GPUBatchWords, cfg.AutoTune, err = parseBatchWords(*batchW)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgraph:", err)

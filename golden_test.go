@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"gpclust"
+	"gpclust/internal/pgraph"
 	"gpclust/internal/seq"
 )
 
 // TestGoldenPipelineBackends is the end-to-end golden gate over the full
 // FASTA → homology graph → families pipeline: the graph is built with both
 // Smith–Waterman backends (host worker pool and the batched GPU kernel,
-// forced through several device batches), and each graph is clustered with
+// forced through several device batches on one lane — the paper's loop —
+// and on two), and each graph is clustered with
 // Cluster, ClusterParallel and ClusterGPU. All builds must agree on the
 // graph and all clusterings must agree on the partition.
 func TestGoldenPipelineBackends(t *testing.T) {
@@ -43,19 +45,23 @@ func TestGoldenPipelineBackends(t *testing.T) {
 		t.Fatal("host build produced no edges; golden test needs a non-trivial graph")
 	}
 
-	gpuCfg := hostCfg
-	gpuCfg.GPU = true
-	gpuCfg.GPUPipeline = true
-	gpuCfg.GPUBatchWords = 8_000 // force several batches through the scheduler
-	gGPU, gpuStats, err := gpclust.BuildHomologyGraph(seqs, gpuCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpuStats.GPUBatches < 2 {
-		t.Fatalf("want a multi-batch GPU build, got %d batches", gpuStats.GPUBatches)
-	}
-	if !reflect.DeepEqual(gHost.Offsets, gGPU.Offsets) || !reflect.DeepEqual(gHost.Adj, gGPU.Adj) {
-		t.Fatal("GPU-SW graph differs from host-SW graph")
+	var gGPU *gpclust.Graph
+	for _, lanes := range []int{1, 2} {
+		gpuCfg := pgraph.FixedLanes(hostCfg, lanes)
+		gpuCfg.GPU = true
+		gpuCfg.GPUBatchWords = 8_000 // force several batches through the scheduler
+		g, gpuStats, err := gpclust.BuildHomologyGraph(seqs, gpuCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gpuStats.GPUBatches < 2 || gpuStats.Plan.Lanes != lanes {
+			t.Fatalf("want a multi-batch GPU build on %d lanes, got %d batches on %d",
+				lanes, gpuStats.GPUBatches, gpuStats.Plan.Lanes)
+		}
+		if !reflect.DeepEqual(gHost.Offsets, g.Offsets) || !reflect.DeepEqual(gHost.Adj, g.Adj) {
+			t.Fatalf("%d-lane GPU-SW graph differs from host-SW graph", lanes)
+		}
+		gGPU = g
 	}
 
 	opts := gpclust.DefaultOptions()

@@ -99,7 +99,8 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	}
 
 	// pgraph: the single-whole-workload legacy batch, a forced multi-batch
-	// budget under both schedulers, and the auto-tuner.
+	// budget on the 1-lane paper loop and on a fixed 2-lane plan, and the
+	// auto-tuner.
 	if pgraphN <= 0 {
 		pgraphN = 1200
 	}
@@ -112,7 +113,7 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	type pgSetting struct {
 		label    string
 		budget   int
-		pipeline bool
+		pipeline bool // fixed 2-lane plan
 		auto     bool
 	}
 	pgSettings := []pgSetting{
@@ -125,7 +126,9 @@ func AblateAutoTune(scale float64, o core.Options, pgraphN int) ([]AblationRow, 
 	for _, ps := range pgSettings {
 		cfg := pgraph.DefaultConfig()
 		cfg.GPU = true
-		cfg.GPUPipeline = ps.pipeline
+		if ps.pipeline {
+			cfg = pgraph.FixedLanes(cfg, 2)
+		}
 		cfg.GPUBatchWords = ps.budget
 		cfg.AutoTune = ps.auto
 		cfg.PredictCost = !ps.auto

@@ -27,10 +27,10 @@ type PGraphBackendPoint struct {
 }
 
 // AblatePGraphBackend compares pGraph's Smith–Waterman verification
-// strategies on one metagenome: the host worker pool, the sequential GPU
-// batch scheduler, the double-buffered pipelined scheduler, the sequential
-// scheduler without length binning (warp-divergence cost), and a
-// whole-workload single batch (occupancy effect). All five must accept the
+// strategies on one metagenome: the host worker pool, the GPU's 1-lane
+// paper loop ("sequential"), a fixed 2-lane plan ("pipelined"), the 1-lane
+// loop without length binning (warp-divergence cost), and a whole-workload
+// single batch (occupancy effect). All five must accept the
 // bit-identical edge set; the rows report the virtual-clock split. n is the
 // ORF count (0: the examples/metagenome default of 1200); batchWords is the
 // forced per-batch budget for the batched backends (0: a default that
@@ -61,8 +61,8 @@ func AblatePGraphBackend(n, batchWords int) ([]AblationRow, []PGraphBackendPoint
 		}},
 		{"gpu pipelined", func(c *pgraph.Config) {
 			c.GPU = true
-			c.GPUPipeline = true
 			c.GPUBatchWords = batchWords
+			*c = pgraph.FixedLanes(*c, 2)
 		}},
 		{"gpu seq no-binning", func(c *pgraph.Config) {
 			c.GPU = true

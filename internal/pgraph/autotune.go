@@ -173,7 +173,9 @@ func calibrateSWModel(devCfg gpusim.Config, enc [][]byte, pairs []pairKey,
 
 // predictSWPlans predicts the virtual time of the scheduler window — the
 // resident-table upload through the final score readback — for the given
-// plans and lane count.
+// plans and lane count, replaying runSWPlans's use of runSWLanes: one
+// 1-lane run per batch on a single lane, one run over every batch
+// otherwise.
 func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
 	plans []swBatch, lanes int, ly swLayout) float64 {
 
@@ -185,23 +187,23 @@ func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
 		kernelNs[i] = swUnpackNs(m, p, ly) +
 			m.KernelNs(swKernelName(ly), swUnits(enc, pairs, order, p), swThreads(p.hi-p.lo))
 	}
-	if lanes < 2 {
-		sim := sched.NewSim(m, 0)
-		sim.Copy(-1, swTableLen, true) // resident table upload
-		for i, p := range plans {
-			sim.HostWork(float64(ly.packWords(p)) * packNsPerWord)
-			sim.Copy(-1, ly.dataWords(p), true)
-			sim.KernelRawNs(-1, kernelNs[i])
-			sim.Copy(-1, p.hi-p.lo, false)
-		}
-		sim.SyncAll()
-		return sim.Host
-	}
-
-	// Replay the sched.RunLanes round-robin: enqueuing item i only waits for
-	// its lane's previous occupant to drain.
 	sim := sched.NewSim(m, lanes)
-	sim.Copy(-1, swTableLen, true)
+	sim.Copy(-1, swTableLen, true) // resident table upload
+	if lanes > 1 {
+		replaySWLanes(sim, plans, kernelNs, lanes, ly)
+	} else {
+		for k := range plans {
+			replaySWLanes(sim, plans[k:k+1], kernelNs[k:k+1], 1, ly)
+		}
+	}
+	sim.SyncAll()
+	return sim.Host
+}
+
+// replaySWLanes replays one runSWLanes call on sim: the sched.RunLanes
+// round-robin, where enqueuing item i only waits for its lane's previous
+// occupant to drain.
+func replaySWLanes(sim *sched.Sim, plans []swBatch, kernelNs []float64, lanes int, ly swLayout) {
 	inFlight := make([]int, lanes)
 	for i := range inFlight {
 		inFlight[i] = -1
@@ -227,32 +229,21 @@ func predictSWPlans(m *sched.Model, enc [][]byte, pairs []pairKey, order []int,
 	for k := 0; k < lanes; k++ {
 		drain((n + k) % lanes)
 	}
-	sim.SyncAll()
-	return sim.Host
 }
 
-// swLaneSet is the lane counts the auto-tuner may consider: an explicit
-// GPUPipeline pins the pipelined executor.
-func swLaneSet(cfg Config) []int {
-	if cfg.GPUPipeline {
-		return []int{2, 3, 4}
-	}
-	return []int{1, 2, 3, 4}
-}
+// swLaneCounts is the lane dimension of the auto-tuner's candidate sweep.
+var swLaneCounts = []int{1, 2, 3, 4}
 
-// legacySWBudget is the pre-auto-tune budget derivation of verifyGPU.
-func legacySWBudget(dev *gpusim.Device, cfg Config) int {
-	budget := int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
-	if cfg.GPUPipeline {
-		budget /= 2
-	}
-	return budget
+// legacySWBudget is the pre-auto-tune budget derivation: three quarters of
+// free memory, once per resident lane (each lane stages a whole batch).
+func legacySWBudget(dev *gpusim.Device, lanes int) int {
+	return int(dev.FreeMemory()/gpusim.WordBytes/4*3) / lanes
 }
 
 // swFeasible reports whether the candidate's device footprint fits free
-// memory. A sequential batch's footprint (records + residues + workspace +
-// scores) is exactly the planner's charge, so the budget bounds it; the
-// pipelined executor keeps `lanes` max-sized stagings resident beside the
+// memory. A 1-lane batch's footprint (records + residues + workspace +
+// scores) is exactly the planner's charge, so the budget bounds it; a
+// multi-lane run keeps `lanes` max-sized stagings resident beside the
 // table.
 func swFeasible(freeWords int, plans []swBatch, cand sched.Candidate, ly swLayout) bool {
 	if cand.Lanes <= 1 {
@@ -306,7 +297,7 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 	}
 	var cands []sched.Candidate
 	for _, b := range sched.Budgets(maxB, minB) {
-		for _, l := range swLaneSet(cfg) {
+		for _, l := range swLaneCounts {
 			for _, f := range fusedSet {
 				cands = append(cands, sched.Candidate{BudgetWords: b, Lanes: l, Fused: f})
 			}
@@ -338,18 +329,14 @@ func autotuneSW(dev *gpusim.Device, enc [][]byte, pairs []pairKey, order []int,
 		return predictSWPlans(m, enc, pairs, order, plans, cand.Lanes, ly), true
 	})
 	if !ok {
-		budget := legacySWBudget(dev, cfg)
+		budget := legacySWBudget(dev, 1)
 		fused := cfg.Packed && cfg.Fuse
 		plans, err := planSWBatches(enc, pairs, order, budget, swLayoutOf(cfg, fused))
 		if err != nil {
 			return sched.PlanReport{}, nil, 0, err
 		}
-		lanes := 1
-		if cfg.GPUPipeline {
-			lanes = 2
-		}
-		return sched.PlanReport{BudgetWords: budget, Lanes: lanes, Batches: len(plans), Fused: fused},
-			plans, lanes, nil
+		return sched.PlanReport{BudgetWords: budget, Lanes: 1, Batches: len(plans), Fused: fused},
+			plans, 1, nil
 	}
 	plans := plansFor(best.BudgetWords, best.Fused)
 	rep := sched.PlanReport{AutoTuned: true, BudgetWords: best.BudgetWords,

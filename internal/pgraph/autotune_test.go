@@ -1,7 +1,6 @@
 package pgraph
 
 import (
-	"reflect"
 	"testing"
 
 	"gpclust/internal/gpusim"
@@ -51,27 +50,29 @@ func TestAutoTuneMatchesHostEdges(t *testing.T) {
 	}
 }
 
-// TestAutoTunePipelinedLaneSet: an explicit -pipeline pins the pipelined
-// executor, so the tuner must choose at least two lanes.
-func TestAutoTunePipelinedLaneSet(t *testing.T) {
+// TestAutoTuneIgnoresFixedLanes: the FixedLanes seam pins fixed plans
+// only, so an auto-tuned build sweeps every lane count and picks the same
+// plan with or without it.
+func TestAutoTuneIgnoresFixedLanes(t *testing.T) {
 	seqs := testMetagenome(t, 150)
-	host, _, err := Build(seqs, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg Config) (Stats, *gpusim.Device) {
+		cfg.GPU = true
+		cfg.AutoTune = true
+		cfg.Device = gpusim.MustNew(gpusim.K20Config())
+		_, st, err := Build(seqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, cfg.Device
 	}
-	cfg := DefaultConfig()
-	cfg.GPU = true
-	cfg.GPUPipeline = true
-	cfg.AutoTune = true
-	cfg.Device = gpusim.MustNew(gpusim.K20Config())
-	g, st, err := Build(seqs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	plain, _ := run(DefaultConfig())
+	pinned, dev := run(FixedLanes(DefaultConfig(), 2))
+	checkSWPlan(t, "auto with fixed lanes", pinned.Plan, true)
+	if pinned.Plan != plain.Plan || pinned.TotalNs != plain.TotalNs {
+		t.Fatalf("FixedLanes moved the auto plan: %s vs %s", pinned.Plan.String(), plain.Plan.String())
 	}
-	graphsEqual(t, "auto pipelined", host, g)
-	checkSWPlan(t, "auto pipelined", st.Plan, true)
-	if st.Plan.Lanes < 2 {
-		t.Fatalf("pipelined tuner chose %d lanes (%s)", st.Plan.Lanes, st.Plan.String())
+	if err := dev.LeakCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,8 +94,7 @@ func TestPredictCostFixedSWPlan(t *testing.T) {
 		t.Fatalf("fixed budget not honoured: %s", st.Plan.String())
 	}
 
-	pipeCfg := cfg
-	pipeCfg.GPUPipeline = true
+	pipeCfg := FixedLanes(cfg, 2)
 	pipeCfg.Device = gpusim.MustNew(gpusim.K20Config())
 	_, pst, err := Build(seqs, pipeCfg)
 	if err != nil {
@@ -133,24 +133,17 @@ func TestAutoTuneNotWorseThanLegacySW(t *testing.T) {
 	}
 }
 
-func TestSWLaneSet(t *testing.T) {
-	if got := swLaneSet(Config{}); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("default lane set %v", got)
-	}
-	if got := swLaneSet(Config{GPUPipeline: true}); !reflect.DeepEqual(got, []int{2, 3, 4}) {
-		t.Fatalf("pipelined lane set %v", got)
-	}
-}
-
+// TestLegacySWBudget: the derived budget is three quarters of free memory,
+// split across the resident lanes.
 func TestLegacySWBudget(t *testing.T) {
 	dev := gpusim.MustNew(gpusim.K20Config())
-	defer dev.Synchronize()
-	seq := legacySWBudget(dev, Config{})
-	pipe := legacySWBudget(dev, Config{GPUPipeline: true})
-	if seq != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
-		t.Fatalf("sequential legacy budget %d", seq)
+	one := legacySWBudget(dev, 1)
+	if one != int(dev.FreeMemory()/gpusim.WordBytes/4*3) {
+		t.Fatalf("1-lane legacy budget %d", one)
 	}
-	if pipe != seq/2 {
-		t.Fatalf("pipelined legacy budget %d, want half of %d", pipe, seq)
+	for _, lanes := range []int{2, 3, 4} {
+		if got := legacySWBudget(dev, lanes); got != one/lanes {
+			t.Fatalf("%d-lane legacy budget %d, want %d", lanes, got, one/lanes)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // FuzzSWBatch is the oracle for the whole GPU verification stack: random
 // sequence batches go through binning, Algorithm-2-style batch packing and
-// the device kernel — both schedulers — and every score must equal a
+// the device kernel on 1, 2 and 3 lanes, and every score must equal a
 // per-pair align.ScoreOnly on the host. This is the enforcement of the
 // bit-identical-edge-set contract at its root.
 func FuzzSWBatch(f *testing.F) {
@@ -60,33 +60,40 @@ func FuzzSWBatch(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				devSeq := gpusim.MustNew(gpusim.SmallConfig())
-				got := make([]int32, len(pairs))
-				if err := runSWBatchesSequential(devSeq, plans, enc, pairs, order, cfg, got); err != nil {
-					t.Fatal(err)
-				}
-				devPipe := gpusim.MustNew(gpusim.SmallConfig())
-				gotPipe := make([]int32, len(pairs))
-				if err := runSWBatchesPipelined(devPipe, plans, enc, pairs, order, cfg, gotPipe); err != nil {
-					t.Fatal(err)
-				}
-				for k, idx := range order {
-					a, b := pairs[idx].unpack()
-					want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
-					if int(got[k]) != want {
-						t.Fatalf("bin=%v packed=%v fuse=%v pair (%d,%d): sequential device score %d, ScoreOnly %d",
-							bin, cfg.Packed, cfg.Fuse, a, b, got[k], want)
+				// One lane runs each batch as its own run, as the recovery
+				// ladder does; more lanes take the whole stream in one run.
+				for _, lanes := range []int{1, 2, 3} {
+					dev := gpusim.MustNew(gpusim.SmallConfig())
+					got := make([]int32, len(pairs))
+					env := &swEnv{dev: dev, seqs: seqs, enc: enc, pairs: pairs, order: order,
+						cfg: cfg, scores: got}
+					if env.table, err = uploadSWTable(dev); err != nil {
+						t.Fatal(err)
 					}
-					if gotPipe[k] != got[k] {
-						t.Fatalf("bin=%v packed=%v fuse=%v pair (%d,%d): pipelined score %d != sequential %d",
-							bin, cfg.Packed, cfg.Fuse, a, b, gotPipe[k], got[k])
+					if lanes == 1 {
+						for k := range plans {
+							if err = runSWLanes(env, k, plans[k:k+1], 1); err != nil {
+								break
+							}
+						}
+					} else {
+						err = runSWLanes(env, 0, plans, lanes)
 					}
-				}
-				if err := devSeq.LeakCheck(); err != nil {
-					t.Fatal(err)
-				}
-				if err := devPipe.LeakCheck(); err != nil {
-					t.Fatal(err)
+					env.table.Free()
+					if err != nil {
+						t.Fatalf("lanes=%d: %v", lanes, err)
+					}
+					for k, idx := range order {
+						a, b := pairs[idx].unpack()
+						want := align.ScoreOnly(seqs[a].Residues, seqs[b].Residues, prm)
+						if int(got[k]) != want {
+							t.Fatalf("bin=%v packed=%v fuse=%v lanes=%d pair (%d,%d): device score %d, ScoreOnly %d",
+								bin, cfg.Packed, cfg.Fuse, lanes, a, b, got[k], want)
+						}
+					}
+					if err := dev.LeakCheck(); err != nil {
+						t.Fatalf("lanes=%d: %v", lanes, err)
+					}
 				}
 			}
 		}

@@ -17,12 +17,12 @@ import (
 // length-bins the pairs (so one warp's alignments cost alike and the SIMT
 // divergence penalty stays small), packs pair records + concatenated residue
 // codes through the device-memory budget exactly like Algorithm 2's
-// adjacency batching, and runs the batches either sequentially or on the
-// N-lane stream pipeline of sched.RunLanes — overlapping batch k+1's
-// host→device staging with batch k's kernels and score readback. The
-// substitution-score table is loop-invariant, so it is uploaded once per
-// build and stays device-resident across every batch. Both schedulers
-// produce scores bit-identical to align.ScoreOnly, so the accepted edge set
+// adjacency batching, and runs the batches on the N-lane stream pipeline of
+// sched.RunLanes — one lane is the paper's synchronous loop; more overlap
+// batch k+1's host→device staging with batch k's kernels and score
+// readback. The substitution-score table is loop-invariant, so it is
+// uploaded once per build and stays device-resident across every batch.
+// Scores are bit-identical to align.ScoreOnly, so the accepted edge set
 // never depends on the backend, batch budget, lane count or binning.
 
 // swTableLen is the word size of the substitution-score table (the BLOSUM62
@@ -369,87 +369,6 @@ func unpackSWBatch(dev *gpusim.Device, st *gpusim.Stream, buf *gpusim.Buffer, p 
 	return thrust.UnpackResidues(dev, st, buf, 4*np, 4*np+packed, 4*p.seqWords, ly.bits)
 }
 
-// runSWBatchesSequential is the Thrust-style synchronous scheduler with a
-// build-resident score table: upload the table once, then per batch
-// allocate, upload the staging image, launch, read the scores back, free.
-// Every step stalls the host (the paper's mode). This entry point owns the
-// table's lifetime (the fuzz oracle's sequential leg); verifyGPU manages
-// the table through the resilience ladder instead and drives
-// runSWBatchesSequentialOn directly.
-func runSWBatchesSequential(dev *gpusim.Device, plans []swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	table, err := uploadSWTable(dev)
-	if err != nil {
-		return err
-	}
-	defer table.Free()
-	return runSWBatchesSequentialOn(dev, table, plans, enc, pairs, order, cfg, scores)
-}
-
-// runSWBatchesSequentialOn runs the batches synchronously against an
-// already-resident score table.
-func runSWBatchesSequentialOn(dev *gpusim.Device, table *gpusim.Buffer, plans []swBatch,
-	enc [][]byte, pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	var data, out []uint32
-	var err error
-	for _, p := range plans {
-		if data, out, err = runOneSWBatch(dev, table, p, enc, pairs, order, cfg, scores, data, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runOneSWBatch stages, uploads, launches and reads back one batch
-// synchronously against the resident table, reusing the data/out scratch
-// slices across calls. The score writes are idempotent — scores[p.lo+i]
-// depends only on the batch contents — so a failed attempt needs no
-// rollback before a retry.
-func runOneSWBatch(dev *gpusim.Device, table *gpusim.Buffer, p swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32, data, out []uint32) ([]uint32, []uint32, error) {
-
-	np := p.hi - p.lo
-	ly := layoutFor(cfg)
-	var t0 float64
-	if cfg.Obs.Enabled() {
-		t0 = dev.HostTime()
-	}
-	data = packSWBatch(p, enc, pairs, order, ly, data)
-	chargeHost(dev, cfg.Obs, "pack", float64(ly.packWords(p))*packNsPerWord)
-	if cap(out) < np {
-		out = make([]uint32, np)
-	}
-	if err := func() error {
-		buf, err := dev.Malloc(ly.deviceWords(p))
-		if err != nil {
-			return err
-		}
-		defer buf.Free()
-		if err := dev.CopyH2D(buf, 0, data); err != nil {
-			return err
-		}
-		if err := unpackSWBatch(dev, nil, buf, p, ly); err != nil {
-			return err
-		}
-		lc := swLaunchConfig(p, cfg, table, ly)
-		if err := thrust.SWScoreBatch(dev, nil, buf, lc); err != nil {
-			return err
-		}
-		return dev.CopyD2H(out[:np], buf, lc.ScoreBase)
-	}(); err != nil {
-		return data, out, err
-	}
-	for i := 0; i < np; i++ {
-		scores[p.lo+i] = int32(out[i])
-	}
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Span(obs.TrackBatches, fmt.Sprintf("pairs%d-%d", p.lo, p.hi), t0, dev.HostTime())
-	}
-	return data, out, nil
-}
-
 // swPipeLane is one lane's device resources: a max-sized batch buffer, a
 // stream, and the in-flight batch's score staging.
 type swPipeLane struct {
@@ -458,43 +377,36 @@ type swPipeLane struct {
 	out    []uint32
 }
 
-// swLaneWork adapts the batch stream to sched.RunLanes. Host staging is
+// swLaneWork adapts a batch stream to sched.RunLanes. Host staging is
 // reused across batches: async H2D captures the contents at enqueue, so one
 // image suffices.
 type swLaneWork struct {
-	dev    *gpusim.Device
-	table  *gpusim.Buffer
-	plans  []swBatch
-	enc    [][]byte
-	pairs  []pairKey
-	order  []int
-	cfg    Config
-	scores []int32
-	lanes  []*swPipeLane
-	data   []uint32 // shared host staging image
+	env   *swEnv
+	first int // schedule index of plans[0], for span names
+	plans []swBatch
+	ly    swLayout
+	lanes []swPipeLane
 }
 
 func (w *swLaneWork) Prepare(item int) {
-	ly := layoutFor(w.cfg)
-	w.data = packSWBatch(w.plans[item], w.enc, w.pairs, w.order, ly, w.data)
-	chargeHost(w.dev, w.cfg.Obs, "pack", float64(ly.packWords(w.plans[item]))*packNsPerWord)
+	e := w.env
+	e.data = packSWBatch(w.plans[item], e.enc, e.pairs, e.order, w.ly, e.data)
+	chargeHost(e.dev, e.cfg.Obs, "pack", float64(w.ly.packWords(w.plans[item]))*packNsPerWord)
 }
 
 func (w *swLaneWork) Enqueue(item, lane int) error {
-	p := w.plans[item]
-	l := w.lanes[lane]
-	ly := layoutFor(w.cfg)
-	if err := w.dev.CopyH2DAsync(l.stream, l.buf, 0, w.data); err != nil {
+	e, p, l := w.env, w.plans[item], w.lanes[lane]
+	if err := e.dev.CopyH2DAsync(l.stream, l.buf, 0, e.data); err != nil {
 		return err
 	}
-	if err := unpackSWBatch(w.dev, l.stream, l.buf, p, ly); err != nil {
+	if err := unpackSWBatch(e.dev, l.stream, l.buf, p, w.ly); err != nil {
 		return err
 	}
-	lc := swLaunchConfig(p, w.cfg, w.table, ly)
-	if err := thrust.SWScoreBatch(w.dev, l.stream, l.buf, lc); err != nil {
+	lc := swLaunchConfig(p, e.cfg, e.table, w.ly)
+	if err := thrust.SWScoreBatch(e.dev, l.stream, l.buf, lc); err != nil {
 		return err
 	}
-	return w.dev.CopyD2HAsync(l.stream, l.out[:p.hi-p.lo], l.buf, lc.ScoreBase)
+	return e.dev.CopyD2HAsync(l.stream, l.out[:p.hi-p.lo], l.buf, lc.ScoreBase)
 }
 
 func (w *swLaneWork) Complete(item, lane int) {
@@ -502,75 +414,59 @@ func (w *swLaneWork) Complete(item, lane int) {
 	l.stream.Synchronize()
 	p := w.plans[item]
 	for i := 0; i < p.hi-p.lo; i++ {
-		w.scores[p.lo+i] = int32(l.out[i])
+		w.env.scores[p.lo+i] = int32(l.out[i])
 	}
 }
 
-func (w *swLaneWork) SpanName(item int) string {
-	p := w.plans[item]
-	return fmt.Sprintf("b%d.pairs%d-%d", item, p.lo, p.hi)
-}
+func (w *swLaneWork) SpanName(item int) string { return swSpanName(w.first+item, w.plans[item]) }
 
-// runSWBatchesPipelined is the double-buffered scheduler with a
-// build-resident score table: N lanes, each owning a max-sized device
+// swSpanName labels batch k of the schedule on the batch and lane tracks.
+func swSpanName(k int, p swBatch) string { return fmt.Sprintf("b%d.pairs%d-%d", k, p.lo, p.hi) }
+
+// runSWLanes is the device executor of every verification batch, against
+// the build-resident score table: N lanes, each owning a max-sized device
 // buffer and a stream, take batches round-robin through sched.RunLanes.
 // Enqueuing batch k only waits for the lane's previous occupant (batch
-// k-N), so batch k's staging overlaps earlier batches' kernels and score
-// readback:
+// k-N), so on two or more lanes batch k's staging overlaps earlier
+// batches' kernels and score readback:
 //
 //	table:   [upload once]
 //	lane 0:  [H2D b0 | sw b0 | D2H b0]   [H2D b2 | sw b2 | ...
 //	lane 1:          [H2D b1 | sw b1 | D2H b1]   [H2D b3 | ...
 //
-// Scores land in the same slots as the sequential scheduler, so the edge
-// set is identical. This entry point owns the table's lifetime and runs two
-// lanes (the fuzz oracle's pipelined leg); verifyGPU manages the table and
-// lane count itself and drives runSWBatchesPipelinedOn directly.
-func runSWBatchesPipelined(dev *gpusim.Device, plans []swBatch, enc [][]byte,
-	pairs []pairKey, order []int, cfg Config, scores []int32) error {
-
-	table, err := uploadSWTable(dev)
-	if err != nil {
-		return err
-	}
-	defer table.Free()
-	return runSWBatchesPipelinedOn(dev, table, plans, enc, pairs, order, cfg, scores, 2)
-}
-
-// runSWBatchesPipelinedOn runs the batch stream across the given lane count
-// against an already-resident score table.
-func runSWBatchesPipelinedOn(dev *gpusim.Device, table *gpusim.Buffer, plans []swBatch,
-	enc [][]byte, pairs []pairKey, order []int, cfg Config, scores []int32, lanes int) error {
-
-	if lanes < 2 {
-		lanes = 2
-	}
-	ly := layoutFor(cfg)
+// One lane is the paper's loop (Algorithm 2 with synchronous Thrust
+// transfers): runSWPlans hands each batch to its own 1-lane run inside the
+// per-batch recovery ladder, so pack, upload, kernel and score readback run
+// strictly in sequence. Scores land in the same slots for any lane count,
+// so the edge set never depends on it. first is plans[0]'s index in the
+// schedule.
+func runSWLanes(env *swEnv, first int, plans []swBatch, lanes int) error {
+	ly := layoutFor(env.cfg)
 	maxDev, maxPairs := 0, 0
 	for _, p := range plans {
 		maxDev = max(maxDev, ly.deviceWords(p))
 		maxPairs = max(maxPairs, p.hi-p.lo)
 	}
-	w := &swLaneWork{dev: dev, table: table, plans: plans, enc: enc, pairs: pairs,
-		order: order, cfg: cfg, scores: scores, lanes: make([]*swPipeLane, lanes)}
-	freeAll := func() {
+	if cap(env.out) < lanes*maxPairs {
+		env.out = make([]uint32, lanes*maxPairs)
+	}
+	w := &swLaneWork{env: env, first: first, plans: plans, ly: ly, lanes: make([]swPipeLane, lanes)}
+	defer func() {
 		for _, l := range w.lanes {
-			if l != nil && l.buf != nil {
+			if l.buf != nil {
 				l.buf.Free()
 			}
 		}
-	}
+	}()
 	for i := range w.lanes {
-		l := &swPipeLane{stream: dev.NewStream(), out: make([]uint32, maxPairs)}
-		w.lanes[i] = l
-		var err error
-		if l.buf, err = dev.Malloc(maxDev); err != nil {
-			freeAll()
+		buf, err := env.dev.Malloc(maxDev)
+		if err != nil {
 			return err
 		}
+		w.lanes[i] = swPipeLane{buf: buf, stream: env.dev.NewStream(),
+			out: env.out[i*maxPairs : (i+1)*maxPairs]}
 	}
-	defer freeAll()
-	return sched.RunLanes(dev, cfg.Obs, len(plans), lanes, w)
+	return sched.RunLanes(env.dev, env.cfg.Obs, len(plans), lanes, w)
 }
 
 // verifyGPU is the device-backed verification stage: it schedules every
@@ -594,30 +490,22 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 		var report sched.PlanReport
 		var plans []swBatch
 		var err error
-		lanes := 1
-		if cfg.GPUPipeline {
-			lanes = 2
-		}
+		lanes := max(cfg.lanes, 1)
 		if cfg.GPUBatchWords == 0 && cfg.AutoTune {
 			report, plans, lanes, err = autotuneSW(dev, enc, pairs, order, cfg)
 			if err != nil {
 				return nil, err
 			}
-			// The executors resolve the layout from cfg; pin the tuner's
-			// fusion choice so they run the plans the sizer measured.
+			// The executor resolves the layout from cfg; pin the tuner's
+			// fusion choice so it runs the plans the sizer measured.
 			cfg.Fuse = report.Fused
 		} else {
+			// An explicit budget is the per-batch cap on any lane count;
+			// the derived one leaves headroom on a shared device and splits
+			// it across the resident lanes.
 			budget := cfg.GPUBatchWords
 			if budget <= 0 {
-				// Leave headroom on a shared device rather than sizing to the
-				// last free word; the pipeline keeps two lanes resident, so its
-				// default batches are half the size. An explicit budget is the
-				// per-batch cap in both modes (the schedulers then run identical
-				// batch plans and their timings compare like for like).
-				budget = int(dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
-				if cfg.GPUPipeline {
-					budget /= 2
-				}
+				budget = legacySWBudget(dev, lanes)
 			}
 			plans, err = planSWBatches(enc, pairs, order, budget, layoutFor(cfg))
 			if err != nil {
@@ -640,11 +528,7 @@ func verifyGPU(seqs []seq.Sequence, pairs []pairKey, cfg Config, st *Stats, host
 			return nil, err
 		}
 		if env.table != nil { // nil after the all-pairs host fallback
-			if lanes >= 2 {
-				err = runSWBatchesPipelinedResilient(env, plans, lanes)
-			} else {
-				err = runSWBatchesSequentialResilient(env, plans)
-			}
+			err = runSWPlans(env, plans, lanes)
 			env.table.Free()
 			if err != nil {
 				return nil, err

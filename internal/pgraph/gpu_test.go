@@ -1,6 +1,7 @@
 package pgraph
 
 import (
+	"slices"
 	"testing"
 
 	"gpclust/internal/gpusim"
@@ -38,8 +39,8 @@ func graphsEqual(t *testing.T, label string, want, got *graph.Graph) {
 }
 
 // TestGPUMatchesHostEdges is the backend-equivalence gate: the GPU-SW path
-// must accept the bit-identical edge set for every batch budget, with and
-// without pipelining and length binning.
+// must accept the bit-identical edge set for every batch budget, on 1–4
+// lanes, packed, unpacked or fused, with and without length binning.
 func TestGPUMatchesHostEdges(t *testing.T) {
 	seqs := testMetagenome(t, 120)
 	host, hst, err := Build(seqs, DefaultConfig())
@@ -57,12 +58,22 @@ func TestGPUMatchesHostEdges(t *testing.T) {
 		{"default-budget", func(c *Config) {}},
 		{"small-batches", func(c *Config) { c.GPUBatchWords = 6_000 }},
 		{"tiny-batches", func(c *Config) { c.GPUBatchWords = 1_200 }},
-		{"pipelined", func(c *Config) { c.GPUPipeline = true }},
-		{"pipelined-small", func(c *Config) { c.GPUPipeline = true; c.GPUBatchWords = 12_000 }},
+		{"pipelined", func(c *Config) { *c = FixedLanes(*c, 2) }},
+		{"pipelined-small", func(c *Config) { *c = FixedLanes(*c, 2); c.GPUBatchWords = 12_000 }},
+		{"three-lanes-unpacked", func(c *Config) {
+			*c = FixedLanes(*c, 3)
+			c.Packed = false
+			c.GPUBatchWords = 6_000
+		}},
+		{"four-lanes-unfused", func(c *Config) {
+			*c = FixedLanes(*c, 4)
+			c.Fuse = false
+			c.GPUBatchWords = 3_000
+		}},
 		{"no-binning", func(c *Config) { c.NoLengthBin = true; c.GPUBatchWords = 6_000 }},
 		{"no-binning-pipelined", func(c *Config) {
+			*c = FixedLanes(*c, 2)
 			c.NoLengthBin = true
-			c.GPUPipeline = true
 			c.GPUBatchWords = 12_000
 		}},
 	}
@@ -95,10 +106,9 @@ func TestGPUSmallDeviceMemoryLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pipeline := range []bool{false, true} {
-		cfg := DefaultConfig()
+	for _, lanes := range []int{1, 2} {
+		cfg := FixedLanes(DefaultConfig(), lanes)
 		cfg.GPU = true
-		cfg.GPUPipeline = pipeline
 		devCfg := gpusim.SmallConfig()
 		devCfg.GlobalMemBytes = 16 << 10 // tighter still: force real batching
 		cfg.Device = gpusim.MustNew(devCfg)
@@ -108,10 +118,10 @@ func TestGPUSmallDeviceMemoryLimit(t *testing.T) {
 		}
 		graphsEqual(t, "small device", host, g)
 		if st.GPUBatches < 2 {
-			t.Fatalf("pipeline=%v: 1 MB device should force multiple batches, got %d", pipeline, st.GPUBatches)
+			t.Fatalf("lanes=%d: 1 MB device should force multiple batches, got %d", lanes, st.GPUBatches)
 		}
 		if err := cfg.Device.LeakCheck(); err != nil {
-			t.Fatalf("pipeline=%v: %v", pipeline, err)
+			t.Fatalf("lanes=%d: %v", lanes, err)
 		}
 	}
 }
@@ -128,10 +138,10 @@ func TestGPUBudgetTooSmall(t *testing.T) {
 	}
 }
 
-// TestGPUPipelinedLowerVirtualTotal asserts the point of the pipeline: with
-// the batch stream forced to many batches, overlapping staging with kernels
-// and readback (and hoisting the per-batch table upload) must beat the
-// sequential scheduler on the virtual clock.
+// TestGPUPipelinedLowerVirtualTotal asserts the point of a second lane:
+// with the batch stream forced to many batches, overlapping staging with
+// kernels and readback must beat the paper's 1-lane loop on the virtual
+// clock.
 func TestGPUPipelinedLowerVirtualTotal(t *testing.T) {
 	seqs := testMetagenome(t, 250)
 	base := DefaultConfig()
@@ -143,8 +153,7 @@ func TestGPUPipelinedLowerVirtualTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeCfg := base
-	pipeCfg.GPUPipeline = true
+	pipeCfg := FixedLanes(base, 2)
 	_, pst, err := Build(seqs, pipeCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +164,49 @@ func TestGPUPipelinedLowerVirtualTotal(t *testing.T) {
 	if pst.TotalNs >= sst.TotalNs {
 		t.Fatalf("pipelined virtual total %.3fms not below sequential %.3fms",
 			pst.TotalNs/1e6, sst.TotalNs/1e6)
+	}
+}
+
+// TestFixedPlanVirtualFiguresPinned pins the paper schedule's virtual
+// figures: fixed plans on a 700-ORF metagenome (seed 1) must reproduce
+// these Stats and predictions exactly. The virtual clock is deterministic,
+// so any drift here is a real change to the 1-lane loop or its predictor.
+func TestFixedPlanVirtualFiguresPinned(t *testing.T) {
+	mc := seq.DefaultMetagenomeConfig(700)
+	mc.Seed = 1
+	mg, err := seq.GenerateMetagenome(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		packed                          bool
+		budget, batches                 int
+		total, align, h2d, d2h, predict float64
+	}{
+		{true, 0, 1, 1.0182807445969571e+08, 5.4684539186968446e+07, 8.056524e+06, 4.099927272727273e+06, 6.683541640739552e+07},
+		{true, 12_000, 4, 2.991347806900128e+08, 2.2769954541728556e+08, 2.0082112e+07, 1.6099927272727273e+07, 2.6308069914903584e+08},
+		{true, 40_000, 1, 1.0182807445969571e+08, 5.4684539186968446e+07, 8.056524e+06, 4.099927272727273e+06, 6.683541640739552e+07},
+		{false, 0, 1, 9.503544691597243e+07, 4.800635164324516e+07, 8.076716e+06, 4.099927272727273e+06, 6.004278886367223e+07},
+		{false, 12_000, 7, 4.46319910322696e+08, 3.5091613504996866e+08, 3.2151652e+07, 2.8099927272727273e+07, 4.121167139225285e+08},
+		{false, 40_000, 2, 1.8029406540533423e+08, 1.2520524013260695e+08, 1.2088662e+07, 8.099927272727273e+06, 1.4589665631746486e+08},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		cfg.GPU = true
+		cfg.Packed = tc.packed
+		cfg.GPUBatchWords = tc.budget
+		cfg.PredictCost = true
+		cfg.Device = gpusim.MustNew(gpusim.K20Config())
+		_, st, err := Build(mg.Seqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []float64{st.TotalNs, st.AlignNs, st.H2DNs, st.D2HNs, st.Plan.PredictedNs}
+		want := []float64{tc.total, tc.align, tc.h2d, tc.d2h, tc.predict}
+		if st.GPUBatches != tc.batches || st.Plan.Lanes != 1 || !slices.Equal(got, want) {
+			t.Errorf("packed=%v budget=%d: %d batches on %d lanes, [total align h2d d2h predicted] = %v, want %d batches on 1 lane, %v",
+				tc.packed, tc.budget, st.GPUBatches, st.Plan.Lanes, got, tc.batches, want)
+		}
 	}
 }
 
@@ -195,9 +247,8 @@ func BenchmarkPGraphGPU(b *testing.B) {
 
 func BenchmarkPGraphGPUPipelined(b *testing.B) {
 	seqs := testMetagenome(b, 250)
-	cfg := DefaultConfig()
+	cfg := FixedLanes(DefaultConfig(), 2)
 	cfg.GPU = true
-	cfg.GPUPipeline = true
 	cfg.GPUBatchWords = 30_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,10 +21,9 @@ func obsNear(a, b float64) bool {
 // recorder-free build.
 func TestObsRecorderGPUBuild(t *testing.T) {
 	seqs := testMetagenome(t, 120)
-	for _, pipeline := range []bool{false, true} {
-		base := DefaultConfig()
+	for _, lanes := range []int{1, 2} {
+		base := FixedLanes(DefaultConfig(), lanes)
 		base.GPU = true
-		base.GPUPipeline = pipeline
 		// Small enough that even the packed layout (which fits more pairs
 		// per batch) schedules several batches, so both lanes see work.
 		base.GPUBatchWords = 3_000
@@ -45,7 +44,7 @@ func TestObsRecorderGPUBuild(t *testing.T) {
 		}
 		graphsEqual(t, "recorder attached", gPlain, g)
 		if st.TotalNs != stPlain.TotalNs || st.AlignNs != stPlain.AlignNs {
-			t.Fatalf("pipeline=%v: recorder changed virtual times: %+v vs %+v", pipeline, st, stPlain)
+			t.Fatalf("lanes=%d: recorder changed virtual times: %+v vs %+v", lanes, st, stPlain)
 		}
 
 		var phases []string
@@ -57,21 +56,23 @@ func TestObsRecorderGPUBuild(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(phases, []string{"filter", "verify"}) {
-			t.Fatalf("pipeline=%v: phases = %v, want [filter verify]", pipeline, phases)
+			t.Fatalf("lanes=%d: phases = %v, want [filter verify]", lanes, phases)
 		}
-		if pipeline {
-			if tracks["lane0"] == 0 || tracks["lane1"] == 0 {
-				t.Fatalf("pipelined build recorded no lane spans: %v", tracks)
+		if lanes == 1 {
+			// The paper's loop: one batch span per batch around its ladder.
+			if tracks[obs.TrackBatches] != st.GPUBatches || st.GPUBatches < 2 {
+				t.Fatalf("1-lane build recorded %d batch spans for %d batches: %v",
+					tracks[obs.TrackBatches], st.GPUBatches, tracks)
 			}
-		} else if tracks[obs.TrackBatches] == 0 {
-			t.Fatalf("sequential build recorded no batch spans: %v", tracks)
+		} else if tracks["lane0"] == 0 || tracks["lane1"] == 0 {
+			t.Fatalf("%d-lane build recorded no lane spans: %v", lanes, tracks)
 		}
 
 		tl := obs.DeviceTimeline{Name: "device0", Events: cfg.Device.Trace()}
 		sp := obs.TableSplit(rec.Spans(), []obs.DeviceTimeline{tl})
 		if !obsNear(sp.GPUNs, st.AlignNs) || !obsNear(sp.H2DNs, st.H2DNs) ||
 			!obsNear(sp.D2HNs, st.D2HNs) || !obsNear(sp.TotalNs, st.TotalNs) {
-			t.Errorf("pipeline=%v: span split %+v != stats %+v", pipeline, sp, st)
+			t.Errorf("lanes=%d: span split %+v != stats %+v", lanes, sp, st)
 		}
 
 		if got := rec.Counter("pgraph_candidates", "").Value(); got != int64(st.Candidates) {

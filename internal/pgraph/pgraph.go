@@ -62,17 +62,11 @@ type Config struct {
 	// fresh Tesla K20 for the build.
 	Device *gpusim.Device
 
-	// GPUPipeline double-buffers the batch stream across two CUDA-style
-	// streams, so batch k+1's host→device staging overlaps batch k's
-	// kernels and score readback (the machinery the shingling pass uses
-	// for multi-lane plans, applied to alignment).
-	GPUPipeline bool
-
 	// GPUBatchWords caps one batch's device footprint in words (score
-	// table + pair records + packed residues + scores) in both schedulers.
-	// 0 sizes batches to the device's free memory (halved under
-	// GPUPipeline, which keeps two lanes resident — an explicit budget
-	// must leave room for both).
+	// table + pair records + packed residues + scores). A fixed plan runs
+	// its batches one at a time on a single lane, the paper's loop. 0
+	// sizes batches to three quarters of the device's free memory, split
+	// across the lanes the plan keeps resident.
 	GPUBatchWords int
 
 	// AutoTune, with GPUBatchWords == 0, lets the cost-model auto-tuner pick
@@ -133,6 +127,10 @@ type Config struct {
 	// retry budget is exhausted: Build then fails with an error wrapping
 	// ErrRetryBudget instead of degrading gracefully.
 	NoHostFallback bool
+
+	// lanes pins the lane count of fixed (not auto-tuned) plans; 0 means
+	// one lane, the paper's schedule. Set through FixedLanes.
+	lanes int
 }
 
 // DefaultConfig returns settings suitable for the synthetic metagenomes.
@@ -145,6 +143,15 @@ func DefaultConfig() Config {
 		Packed:             true,
 		Fuse:               true,
 	}
+}
+
+// FixedLanes returns cfg with its fixed plans pinned to the given lane
+// count (0 or 1: the paper's schedule). The ablations use it to price a
+// multi-lane schedule against the paper's loop; it is not part of the
+// public Config surface, where lanes are the auto-tuner's choice.
+func FixedLanes(cfg Config, lanes int) Config {
+	cfg.lanes = lanes
+	return cfg
 }
 
 // Virtual-clock pricing of the host-side stages, in the style of

@@ -6,6 +6,7 @@ import (
 	"gpclust/internal/align"
 	"gpclust/internal/faults"
 	"gpclust/internal/gpusim"
+	"gpclust/internal/obs"
 	"gpclust/internal/sched"
 	"gpclust/internal/seq"
 )
@@ -16,9 +17,10 @@ import (
 // execution, or fail typed under Config.NoHostFallback — lives in
 // internal/sched; this file adapts the Smith–Waterman batch stream to it.
 // Score writes are idempotent (scores[p.lo+i] depends only on the batch
-// contents), so a failed attempt needs no rollback; the pipelined scheduler
-// restarts whole passes (its lanes share buffers, so mid-pass state is not
-// worth salvaging) and degrades to the resilient sequential loop when
+// contents), so a failed attempt needs no rollback. A single-lane plan runs
+// each batch as its own 1-lane attempt inside the per-batch ladder; a
+// multi-lane pass restarts whole (its lanes share buffers, so mid-pass
+// state is not worth salvaging) and degrades to the per-batch ladder when
 // restarts exhaust the budget. Either way the edge set is bit-identical to
 // a fault-free run; Stats.Faults counts what recovery cost.
 
@@ -54,7 +56,8 @@ func (c Config) runner(dev *gpusim.Device, rec *faults.Recovery) *sched.Runner {
 
 // swEnv bundles the state the resilient scheduling adapters share: the
 // device, the resident score table, the verification inputs and the score
-// output, plus the sequential path's reusable staging scratch.
+// output, plus the lane executor's host staging, reused across every batch
+// of one Build or Score call.
 type swEnv struct {
 	dev    *gpusim.Device
 	table  *gpusim.Buffer // resident score table; nil after the all-pairs fallback
@@ -66,7 +69,8 @@ type swEnv struct {
 	scores []int32
 	rec    *faults.Recovery
 
-	data, out []uint32 // sequential-path scratch, reused across batches
+	data []uint32 // host staging image
+	out  []uint32 // per-lane score staging
 }
 
 // swTableUpload stages the build-resident substitution table through the
@@ -97,18 +101,18 @@ func (u *swTableUpload) WrapErr(retries int, last error) error {
 		retries+1, last, ErrRetryBudget)
 }
 
-// swGPUBatch adapts one verification batch to the sched ladder.
+// swGPUBatch adapts one verification batch — batch index of the schedule —
+// to the sched ladder.
 type swGPUBatch struct {
-	env *swEnv
-	p   swBatch
+	env   *swEnv
+	index int
+	p     swBatch
 }
 
-func (b swGPUBatch) Attempt() error {
-	var err error
-	b.env.data, b.env.out, err = runOneSWBatch(b.env.dev, b.env.table, b.p, b.env.enc,
-		b.env.pairs, b.env.order, b.env.cfg, b.env.scores, b.env.data, b.env.out)
-	return err
-}
+// Attempt runs the batch as its own 1-lane run. Batches must not share a
+// run: sched.RunLanes prepares item k+1 before draining item k, which would
+// overlap the next pack with this batch's device work.
+func (b swGPUBatch) Attempt() error { return runSWLanes(b.env, b.index, []swBatch{b.p}, 1) }
 
 // Split halves the pair range for OOM recovery. Each half re-derives its
 // distinct-sequence set and gets a fresh budget from the ladder.
@@ -117,8 +121,8 @@ func (b swGPUBatch) Split() (sched.Batch, sched.Batch, bool) {
 		return nil, nil, false
 	}
 	mid := b.p.lo + (b.p.hi-b.p.lo)/2
-	return swGPUBatch{b.env, swBatchFor(b.p.lo, mid, b.env.enc, b.env.pairs, b.env.order)},
-		swGPUBatch{b.env, swBatchFor(mid, b.p.hi, b.env.enc, b.env.pairs, b.env.order)}, true
+	return swGPUBatch{b.env, b.index, swBatchFor(b.p.lo, mid, b.env.enc, b.env.pairs, b.env.order)},
+		swGPUBatch{b.env, b.index, swBatchFor(mid, b.p.hi, b.env.enc, b.env.pairs, b.env.order)}, true
 }
 
 func (b swGPUBatch) Fallback() {
@@ -130,14 +134,25 @@ func (b swGPUBatch) WrapErr(retries int, last error) error {
 		b.p.hi-b.p.lo, retries+1, last, ErrRetryBudget)
 }
 
-// runSWBatchesSequentialResilient is runSWBatchesSequentialOn with the
-// recovery ladder applied per batch.
-func runSWBatchesSequentialResilient(env *swEnv, plans []swBatch) error {
+// runSWPlans runs the plans on the given lane count against the resident
+// table, under the recovery ladder. One lane is the paper's loop: each
+// batch runs through its own ladder inside a span on the batch track. Two
+// or more lanes run the whole stream as one restartable pass.
+func runSWPlans(env *swEnv, plans []swBatch, lanes int) error {
 	run := env.cfg.runner(env.dev, env.rec)
-	for _, p := range plans {
-		if err := run.Run(swGPUBatch{env: env, p: p}); err != nil {
+	if lanes >= 2 {
+		return run.RunPass(swPipePass{env: env, plans: plans, lanes: lanes})
+	}
+	r := env.cfg.Obs
+	for i, p := range plans {
+		var end obs.Ending
+		if r.Enabled() {
+			end = r.Start(obs.TrackBatches, swSpanName(i, p), env.dev.HostTime())
+		}
+		if err := run.Run(swGPUBatch{env: env, index: i, p: p}); err != nil {
 			return err
 		}
+		end.End(env.dev.HostTime())
 	}
 	return nil
 }
@@ -179,21 +194,18 @@ func runSWBatchHost(dev *gpusim.Device, p swBatch, seqs []seq.Sequence,
 	chargeHost(dev, cfg.Obs, "host-align", float64(cells)*HostAlignNsPerCell)
 }
 
-// swPipePass adapts the lane executor to restart-based recovery: every
+// swPipePass adapts a multi-lane run to restart-based recovery: every
 // score slot is rewritten by a successful pass, so a failed attempt needs
 // no reset, and when restarts exhaust the budget the pass degrades to the
-// sequential resilient loop (which recovers per batch, splits on OOM and
-// can fall back to the host).
+// 1-lane per-batch ladder (which recovers per batch, splits on OOM and can
+// fall back to the host).
 type swPipePass struct {
 	env   *swEnv
 	plans []swBatch
 	lanes int
 }
 
-func (p swPipePass) Attempt() error {
-	return runSWBatchesPipelinedOn(p.env.dev, p.env.table, p.plans, p.env.enc,
-		p.env.pairs, p.env.order, p.env.cfg, p.env.scores, p.lanes)
-}
+func (p swPipePass) Attempt() error { return runSWLanes(p.env, 0, p.plans, p.lanes) }
 
 // Reset: score writes are idempotent; nothing to roll back.
 func (p swPipePass) Reset() {}
@@ -201,10 +213,4 @@ func (p swPipePass) Reset() {}
 // Settle quiesces the failed pass's in-flight stream work.
 func (p swPipePass) Settle() { p.env.dev.Synchronize() }
 
-func (p swPipePass) Degrade() error { return runSWBatchesSequentialResilient(p.env, p.plans) }
-
-// runSWBatchesPipelinedResilient wraps the lane executor in the restart
-// ladder.
-func runSWBatchesPipelinedResilient(env *swEnv, plans []swBatch, lanes int) error {
-	return env.cfg.runner(env.dev, env.rec).RunPass(swPipePass{env: env, plans: plans, lanes: lanes})
-}
+func (p swPipePass) Degrade() error { return runSWPlans(p.env, p.plans, 1) }

@@ -88,8 +88,9 @@ func (s LSHShape) BandKeys(fam minwise.Family, set []uint32) []uint32 {
 // the encoded sequences and (on the GPU backend) the substitution table
 // device-resident across calls, so a serving process pays the upload once
 // instead of once per request batch. Score runs the same length-binned
-// batch planner and per-batch resilience ladder as Build's sequential
-// scheduler; scores are bit-identical to align.ScoreOnly on every path.
+// batch planner, 1-lane executor and per-batch resilience ladder as a
+// fixed-plan Build; scores are bit-identical to align.ScoreOnly on every
+// path.
 //
 // A Verifier is not safe for concurrent use: the serving layer funnels all
 // Add/Score/Truncate calls through its single scheduler goroutine.
@@ -220,7 +221,7 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 	default:
 		budget := v.cfg.GPUBatchWords
 		if budget <= 0 {
-			budget = int(v.dev.FreeMemory() / gpusim.WordBytes / 4 * 3)
+			budget = legacySWBudget(v.dev, 1)
 		}
 		plans, err := planSWBatches(v.enc, pairs, order, budget, layoutFor(v.cfg))
 		if err != nil {
@@ -228,7 +229,7 @@ func (v *Verifier) Score(reqs []Pair) ([]int32, int, error) {
 		}
 		env := &swEnv{dev: v.dev, table: v.table, seqs: v.seqs, enc: v.enc, pairs: pairs,
 			order: order, cfg: v.cfg, scores: scores, rec: &v.rec}
-		if err := runSWBatchesSequentialResilient(env, plans); err != nil {
+		if err := runSWPlans(env, plans, 1); err != nil {
 			return nil, 0, err
 		}
 		batches = len(plans)

@@ -113,6 +113,56 @@ func TestVerifierFaultLadder(t *testing.T) {
 	}
 }
 
+// TestVerifierMallocFaultSplits: a persistent OOM on a multi-batch Score
+// hits the lane executor's batch-buffer allocation, which happens before
+// the batch is packed; the ladder must retry, then split the batch, and
+// the scores must stay exact.
+func TestVerifierMallocFaultSplits(t *testing.T) {
+	seqs := testMetagenome(t, 20)
+	cfg := DefaultConfig()
+	cfg.Filter = FilterLSH
+	cfg.GPU = true
+	cfg.GPUBatchWords = 2_000
+	cfg.Device = gpusim.MustNew(gpusim.K20Config())
+	// malloc op=1 is the resident table (NewVerifier); op=2 onwards are the
+	// first batch's buffer and its retries.
+	sch, err := faults.Parse("malloc op=2 count=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Device.SetFaultInjector(faults.NewInjector(sch))
+	v, err := NewVerifier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range seqs {
+		if _, err := v.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := verifierTestPairs(len(seqs))
+	scores, batches, err := v.Score(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches < 2 {
+		t.Fatalf("budget %d produced %d batches, want several", cfg.GPUBatchWords, batches)
+	}
+	for i, p := range reqs {
+		want := int32(align.ScoreOnly(seqs[p.A].Residues, seqs[p.B].Residues, cfg.Align))
+		if scores[i] != want {
+			t.Fatalf("pair (%d,%d) scored %d after OOM faults, want %d", p.A, p.B, scores[i], want)
+		}
+	}
+	if rec := v.Recovery(); rec.OOMRetries == 0 || rec.OOMSplits == 0 {
+		t.Fatalf("persistent OOM should retry then split: %s", rec)
+	}
+	v.Close()
+	if err := cfg.Device.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifierDegradesWhenTableUploadFails: a device whose mallocs fail
 // persistently cannot host the resident table; construction degrades to
 // permanent host scoring instead of failing, and scores stay exact.

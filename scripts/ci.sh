@@ -79,7 +79,7 @@ go test -run 'TestLSHDeviceMatchesHost|TestCascadeConservativeMatchesExact|TestL
 
 echo "== observability smoke (-trace/-metrics on both CLIs, trace JSON validated)"
 go run ./cmd/genseq -mode seqs -n 150 -fasta "$tmp_dir/orfs.fa" -truth "$tmp_dir/truth.tsv"
-go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu -pipeline \
+go run ./cmd/pgraph -in "$tmp_dir/orfs.fa" -out "$tmp_dir/graph.txt" -gpu \
     -trace "$tmp_dir/pgraph-trace.json" -metrics "$tmp_dir/pgraph-metrics.txt"
 go run ./cmd/gpclust -in "$tmp_dir/graph.txt" -backend gpu -c1 30 -c2 15 \
     -faults 'h2d op=2' -trace "$tmp_dir/gpclust-trace.json" \
