@@ -86,6 +86,8 @@ func (d *Device) LaunchCooperative(gridDim, blockDim, sharedWords int, kernel fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := getScratch()
+			defer putScratch(sc)
 			var local launchStats
 			for b := range blockCh {
 				shared := make([]uint32, sharedWords)
@@ -108,11 +110,12 @@ func (d *Device) LaunchCooperative(gridDim, blockDim, sharedWords int, kernel fu
 					}(&ctxs[t])
 				}
 				tg.Wait()
-				plain := make([]ThreadCtx, blockDim)
+				lanes := sc.lanes[:0]
 				for i := range ctxs {
-					plain[i] = ctxs[i].ThreadCtx
+					lanes = append(lanes, &ctxs[i].ThreadCtx)
 				}
-				accumulateBlock(&local, plain, warp)
+				sc.lanes = lanes
+				sc.accumulateBlock(&local, lanes, warp)
 			}
 			totalMu.Lock()
 			total.warpSerialOps += local.warpSerialOps

@@ -2,7 +2,7 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -171,8 +171,14 @@ func (d *Device) executeGrid(gridDim, blockDim int, kernel Kernel) launchStats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Reuse thread contexts per worker to avoid per-thread allocs.
-			ctxs := make([]ThreadCtx, blockDim)
+			sc := getScratch()
+			defer putScratch(sc)
+			ctxs := sc.threadCtxs(blockDim)
+			lanes := sc.lanes[:0]
+			for t := range ctxs {
+				lanes = append(lanes, &ctxs[t])
+			}
+			sc.lanes = lanes
 			var local launchStats
 			for b := range next {
 				for t := 0; t < blockDim; t++ {
@@ -183,7 +189,7 @@ func (d *Device) executeGrid(gridDim, blockDim int, kernel Kernel) launchStats {
 					}
 					kernel(&ctxs[t])
 				}
-				accumulateBlock(&local, ctxs, warp)
+				sc.accumulateBlock(&local, lanes, warp)
 			}
 			totalMu.Lock()
 			total.warpSerialOps += local.warpSerialOps
@@ -202,9 +208,59 @@ func (d *Device) executeGrid(gridDim, blockDim int, kernel Kernel) launchStats {
 	return total
 }
 
+// launchScratch is one worker goroutine's reusable launch state. Workers
+// take it from scratchPool for the length of a launch, so in steady state a
+// launch allocates nothing per block, warp, access site or thread.
+type launchScratch struct {
+	ctxs   []ThreadCtx  // Launch's thread contexts; each keeps its runs capacity
+	lanes  []*ThreadCtx // the block being accounted, in thread order
+	active []laneRun    // one access site's lanes (warpTransactions)
+	segs   []int64      // distinct segments among a prefix of active
+}
+
+// laneRun is one lane's run at the access site warpTransactions is counting.
+type laneRun struct {
+	start int64
+	count int64
+}
+
+// scratchRuns is the access-run capacity each pooled thread context starts
+// with, carved from one backing array; a thread that records more runs
+// grows its own slice (up to maxRunsPerThread), and the pool keeps that too.
+const scratchRuns = 4
+
+// scratchPool holds launchScratch values across launches and devices. A
+// Device is used by one goroutine at a time, but distinct devices launch
+// concurrently, so the scratch is handed out per worker, never shared.
+var scratchPool = sync.Pool{New: func() any { return new(launchScratch) }}
+
+func getScratch() *launchScratch { return scratchPool.Get().(*launchScratch) }
+
+// putScratch returns sc to the pool, dropping the lane pointers first so a
+// cooperative launch's per-block contexts are not kept alive by the pool.
+func putScratch(sc *launchScratch) {
+	clear(sc.lanes)
+	sc.lanes = sc.lanes[:0]
+	scratchPool.Put(sc)
+}
+
+// threadCtxs returns blockDim thread contexts whose runs slices keep the
+// capacity earlier launches gave them.
+func (sc *launchScratch) threadCtxs(blockDim int) []ThreadCtx {
+	if cap(sc.ctxs) < blockDim {
+		sc.ctxs = make([]ThreadCtx, blockDim)
+		backing := make([]accessRun, blockDim*scratchRuns)
+		for t := range sc.ctxs {
+			lo := t * scratchRuns
+			sc.ctxs[t].runs = backing[lo : lo : lo+scratchRuns]
+		}
+	}
+	return sc.ctxs[:blockDim]
+}
+
 // accumulateBlock folds one executed block's thread contexts into the stats,
 // applying the SIMT divergence and coalescing models warp by warp.
-func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int) {
+func (sc *launchScratch) accumulateBlock(st *launchStats, ctxs []*ThreadCtx, warp int) {
 	for w := 0; w < len(ctxs); w += warp {
 		end := w + warp
 		if end > len(ctxs) {
@@ -216,22 +272,22 @@ func accumulateBlock(st *launchStats, ctxs []ThreadCtx, warp int) {
 		// the warp issues max(lane ops) instructions and every one of the
 		// warp's lane-slots is occupied for all of them.
 		var maxOps int64
-		for i := range lanes {
-			if lanes[i].ops > maxOps {
-				maxOps = lanes[i].ops
+		for _, l := range lanes {
+			if l.ops > maxOps {
+				maxOps = l.ops
 			}
-			st.threadOps += lanes[i].ops
-			st.sharedAcc += lanes[i].shared
+			st.threadOps += l.ops
+			st.sharedAcc += l.shared
 		}
 		st.warpSerialOps += maxOps * int64(warp)
 
-		st.transactions += warpTransactions(lanes)
-		for i := range lanes {
-			for _, r := range lanes[i].runs {
+		st.transactions += sc.warpTransactions(lanes)
+		for _, l := range lanes {
+			for _, r := range l.runs {
 				st.accesses += int64(r.count)
 			}
-			st.accesses += lanes[i].extra
-			st.transactions += lanes[i].extra // overflow: one transaction each
+			st.accesses += l.extra
+			st.transactions += l.extra // overflow: one transaction each
 		}
 	}
 }
@@ -249,29 +305,33 @@ const segWords = 32
 // steps with the active set shrinking as shorter lanes finish gives the
 // total. Mixed strides fall back to fully uncoalesced (one transaction per
 // access).
-func warpTransactions(lanes []ThreadCtx) int64 {
+//
+// The counting runs in sc's reused active and segs slices, with no
+// allocation: an insertion sort (at most one warp of entries) orders the
+// site's lanes by count descending, so the lanes active at step t are a
+// prefix, and one pass over that order grows the distinct-segment list by
+// linear search while it charges each step interval. Within a run of equal
+// counts the interval is empty until the run's last lane, whose prefix
+// holds the whole run, so the total does not depend on how ties are
+// ordered.
+func (sc *launchScratch) warpTransactions(lanes []*ThreadCtx) int64 {
 	maxRuns := 0
-	for i := range lanes {
-		if len(lanes[i].runs) > maxRuns {
-			maxRuns = len(lanes[i].runs)
+	for _, l := range lanes {
+		if len(l.runs) > maxRuns {
+			maxRuns = len(l.runs)
 		}
 	}
 	var total int64
-	type laneRun struct {
-		start int64
-		count int64
-	}
-	active := make([]laneRun, 0, len(lanes))
 	for k := 0; k < maxRuns; k++ {
-		active = active[:0]
+		active := sc.active[:0]
 		var stride int32
 		mixed := false
 		first := true
-		for i := range lanes {
-			if k >= len(lanes[i].runs) {
+		for _, l := range lanes {
+			if k >= len(l.runs) {
 				continue
 			}
-			r := lanes[i].runs[k]
+			r := l.runs[k]
 			if first {
 				stride = r.stride
 				first = false
@@ -280,6 +340,7 @@ func warpTransactions(lanes []ThreadCtx) int64 {
 			}
 			active = append(active, laneRun{r.start, int64(r.count)})
 		}
+		sc.active = active
 		if len(active) == 0 {
 			continue
 		}
@@ -289,27 +350,31 @@ func warpTransactions(lanes []ThreadCtx) int64 {
 			}
 			continue
 		}
-		// Sort lanes by count descending: the active set at step t is a
-		// prefix.
-		sort.Slice(active, func(i, j int) bool { return active[i].count > active[j].count })
-		// D[j] = distinct segments among the first j+1 lanes' starts.
-		segs := make(map[int64]bool, len(active))
-		d := make([]int64, len(active))
-		for j, a := range active {
-			segs[a.start/segWords] = true
-			d[j] = int64(len(segs))
+		for i := 1; i < len(active); i++ {
+			a := active[i]
+			j := i
+			for ; j > 0 && active[j-1].count < a.count; j-- {
+				active[j] = active[j-1]
+			}
+			active[j] = a
 		}
-		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes.
-		for j := 0; j < len(active); j++ {
+		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes, spanning
+		// len(segs) distinct segments.
+		segs := sc.segs[:0]
+		for j, a := range active {
+			seg := a.start / segWords
+			if !slices.Contains(segs, seg) {
+				segs = append(segs, seg)
+			}
 			var lower int64
 			if j+1 < len(active) {
 				lower = active[j+1].count
 			}
-			steps := active[j].count - lower
-			if steps > 0 {
-				total += d[j] * steps
+			if steps := a.count - lower; steps > 0 {
+				total += int64(len(segs)) * steps
 			}
 		}
+		sc.segs = segs
 	}
 	return total
 }

@@ -2,6 +2,9 @@ package gpusim
 
 import (
 	"math"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -357,9 +360,285 @@ func TestDefaultStreamCopyWaitsForKernel(t *testing.T) {
 
 func BenchmarkLaunchSmall(b *testing.B) {
 	d := MustNew(K20Config())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = d.Launch(16, 256, func(ctx *ThreadCtx) { ctx.Ops(10) })
 	}
+}
+
+// raggedRunsKernel records three global runs per thread whose lengths vary
+// with the thread, so every warp's access sites have unequal counts to sort
+// and several segments to count.
+func raggedRunsKernel(buf *Buffer) Kernel {
+	return func(ctx *ThreadCtx) {
+		i := ctx.GlobalID()
+		ctx.GlobalRead(buf, i%4096, 1+i%7, 1)
+		ctx.GlobalRead(buf, (i*33)%4096, 1+i%3, 2)
+		ctx.GlobalWrite(buf, i%4096, 1+(i/32)%5, 1)
+		ctx.Ops(5)
+	}
+}
+
+func BenchmarkLaunchCoalescing(b *testing.B) {
+	d := MustNew(K20Config())
+	buf := d.MustMalloc(4096 + 64)
+	defer buf.Free()
+	kernel := raggedRunsKernel(buf)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = d.Launch(64, 256, kernel)
+	}
+}
+
+// TestLaunchSteadyStateAllocs pins that a warmed-up launch allocates a
+// constant amount, independent of how many blocks, warps and threads it runs.
+func TestLaunchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := MustNew(K20Config())
+	buf := d.MustMalloc(4096 + 64)
+	defer buf.Free()
+	kernel := raggedRunsKernel(buf)
+	if err := d.Launch(512, 256, kernel); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(blocks int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := d.Launch(blocks, 256, kernel); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(512)
+	if small != large {
+		t.Errorf("allocs per launch: %v at 16 blocks, %v at 512 blocks; want equal", small, large)
+	}
+	if limit := float64(4 * d.workers); large > limit {
+		t.Errorf("allocs per launch = %v, want at most %v", large, limit)
+	}
+}
+
+// TestConcurrentDevicesShareScratch launches on several devices at once,
+// each from its own goroutine and with block sizes that make the pooled
+// scratch grow and shrink, and checks every device's metrics against the
+// same launches run alone. Run it under -race.
+func TestConcurrentDevicesShareScratch(t *testing.T) {
+	run := func(blockDims []int) Metrics {
+		d := MustNew(K20Config())
+		buf := d.MustMalloc(4096 + 64)
+		defer buf.Free()
+		kernel := raggedRunsKernel(buf)
+		for _, bd := range blockDims {
+			if err := d.Launch(9, bd, kernel); err != nil {
+				t.Error(err)
+			}
+		}
+		return d.Metrics()
+	}
+	shapes := [][]int{{32, 256, 1024}, {1024, 96, 7}, {256, 256, 33}, {1, 512, 64}}
+	want := make([]Metrics, len(shapes))
+	for i, bd := range shapes {
+		want[i] = run(bd)
+	}
+	got := make([]Metrics, len(shapes))
+	var wg sync.WaitGroup
+	for i, bd := range shapes {
+		wg.Add(1)
+		go func(i int, bd []int) {
+			defer wg.Done()
+			got[i] = run(bd)
+		}(i, bd)
+	}
+	wg.Wait()
+	for i := range shapes {
+		if got[i] != want[i] {
+			t.Errorf("device %d: concurrent metrics %+v, alone %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// warpTransactionsRef is the sort-and-map coalescing counter the scratch
+// version replaced, kept verbatim as the oracle for it.
+func warpTransactionsRef(lanes []ThreadCtx) int64 {
+	maxRuns := 0
+	for i := range lanes {
+		if len(lanes[i].runs) > maxRuns {
+			maxRuns = len(lanes[i].runs)
+		}
+	}
+	var total int64
+	type laneRun struct {
+		start int64
+		count int64
+	}
+	active := make([]laneRun, 0, len(lanes))
+	for k := 0; k < maxRuns; k++ {
+		active = active[:0]
+		var stride int32
+		mixed := false
+		first := true
+		for i := range lanes {
+			if k >= len(lanes[i].runs) {
+				continue
+			}
+			r := lanes[i].runs[k]
+			if first {
+				stride = r.stride
+				first = false
+			} else if r.stride != stride {
+				mixed = true
+			}
+			active = append(active, laneRun{r.start, int64(r.count)})
+		}
+		if len(active) == 0 {
+			continue
+		}
+		if mixed {
+			for _, a := range active {
+				total += a.count
+			}
+			continue
+		}
+		// Sort lanes by count descending: the active set at step t is a
+		// prefix.
+		sort.Slice(active, func(i, j int) bool { return active[i].count > active[j].count })
+		// D[j] = distinct segments among the first j+1 lanes' starts.
+		segs := make(map[int64]bool, len(active))
+		d := make([]int64, len(active))
+		for j, a := range active {
+			segs[a.start/segWords] = true
+			d[j] = int64(len(segs))
+		}
+		// Interval [c_{j+1}, c_j) has exactly j+1 active lanes.
+		for j := 0; j < len(active); j++ {
+			var lower int64
+			if j+1 < len(active) {
+				lower = active[j+1].count
+			}
+			steps := active[j].count - lower
+			if steps > 0 {
+				total += d[j] * steps
+			}
+		}
+	}
+	return total
+}
+
+func lanePtrs(lanes []ThreadCtx) []*ThreadCtx {
+	ptrs := make([]*ThreadCtx, len(lanes))
+	for i := range lanes {
+		ptrs[i] = &lanes[i]
+	}
+	return ptrs
+}
+
+// randomBlock builds n thread contexts whose recorded runs mix the access
+// shapes the counter must agree with the oracle on: coalesced, scattered,
+// many lanes inside one 128-byte segment, zero and mixed strides, ragged
+// and tied counts, and threads that overflow maxRunsPerThread.
+func randomBlock(r *rand.Rand, n int) []ThreadCtx {
+	buf := &Buffer{base: int64(r.Intn(1 << 20))}
+	sites := 1 + r.Intn(6)
+	if r.Intn(8) == 0 {
+		sites = maxRunsPerThread + 1 + r.Intn(8)
+	}
+	lanes := make([]ThreadCtx, n)
+	for k := 0; k < sites; k++ {
+		stride := []int{0, 1, 1, 2, 32, 33}[r.Intn(6)]
+		mixed := r.Intn(5) == 0
+		shape := r.Intn(4)
+		maxCount := 1 + r.Intn(12)
+		for t := range lanes {
+			if r.Intn(6) == 0 {
+				continue // this lane skips the site
+			}
+			var start int
+			switch shape {
+			case 0: // coalesced: consecutive words
+				start = t
+			case 1: // scattered
+				start = r.Intn(1 << 16)
+			case 2: // many lanes inside one segment
+				start = 5*segWords + r.Intn(segWords)
+			default: // one segment per lane
+				start = t * 2 * segWords
+			}
+			s := stride
+			if mixed && r.Intn(2) == 0 {
+				s = stride + 1
+			}
+			lanes[t].GlobalRead(buf, start, 1+r.Intn(maxCount), s)
+		}
+	}
+	return lanes
+}
+
+func TestWarpTransactionsMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	sc := new(launchScratch)
+	for iter := 0; iter < 3000; iter++ {
+		warp := []int{1, 7, 8, 16, 32, 64}[r.Intn(6)]
+		n := 1 + r.Intn(3*warp)
+		block := randomBlock(r, n)
+
+		// One warp, as accumulateBlock hands it over.
+		lanes := block[:min(n, warp)]
+		if got, want := sc.warpTransactions(lanePtrs(lanes)), warpTransactionsRef(lanes); got != want {
+			t.Fatalf("iter %d (warp %d, %d lanes): warpTransactions = %d, oracle %d", iter, warp, len(lanes), got, want)
+		}
+
+		// A whole block with a partial last warp, overflow charges included.
+		var st launchStats
+		sc.accumulateBlock(&st, lanePtrs(block), warp)
+		var want int64
+		for w := 0; w < n; w += warp {
+			want += warpTransactionsRef(block[w:min(w+warp, n)])
+		}
+		for i := range block {
+			want += block[i].extra
+		}
+		if st.transactions != want {
+			t.Fatalf("iter %d (warp %d, %d threads): block transactions = %d, oracle %d", iter, warp, n, st.transactions, want)
+		}
+	}
+}
+
+// FuzzWarpTransactions decodes the input into one warp of access runs and
+// checks the scratch counter against the sort-and-map oracle. Byte 0 sets
+// the lane count; then each lane takes a run count and, per run, a start
+// (two bytes), a count and a signed stride. Missing bytes read as zero.
+func FuzzWarpTransactions(f *testing.F) {
+	f.Add([]byte{31, 1, 0, 1, 4, 1})
+	f.Add([]byte{3, 2, 0, 0, 9, 0, 0, 40, 2, 1, 1, 0, 2, 5, 1, 0, 3, 3, 255})
+	f.Add([]byte{63, 70, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() byte {
+			if pos >= len(data) {
+				return 0
+			}
+			pos++
+			return data[pos-1]
+		}
+		buf := &Buffer{}
+		lanes := make([]ThreadCtx, 1+int(next())%64)
+		for i := range lanes {
+			runs := int(next()) % (maxRunsPerThread + 8)
+			for k := 0; k < runs && pos < len(data); k++ {
+				start := int(next())<<8 | int(next())
+				count := 1 + int(next())%16
+				stride := int(int8(next())) % 40
+				lanes[i].GlobalRead(buf, start, count, stride)
+			}
+		}
+		sc := new(launchScratch)
+		for rep := 0; rep < 2; rep++ { // the second pass reuses grown scratch
+			if got, want := sc.warpTransactions(lanePtrs(lanes)), warpTransactionsRef(lanes); got != want {
+				t.Fatalf("warpTransactions = %d, oracle %d", got, want)
+			}
+		}
+	})
 }
 
 func TestOccupancyScaling(t *testing.T) {

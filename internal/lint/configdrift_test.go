@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -88,5 +91,48 @@ func TestLoaderIncludeTests(t *testing.T) {
 		if f.Name.Name != withTests.Types.Name() {
 			t.Fatalf("external test package file leaked into %s: package %s", withTests.Path, f.Name.Name)
 		}
+	}
+}
+
+// TestExpandPatternsSkipsNestedModules pins the go tool's rule that "./..."
+// stops at a directory holding its own go.mod, while naming that directory
+// explicitly still lints it.
+func TestExpandPatternsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		p := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/outer\n")
+	write("a.go", "package outer\n")
+	write("sub/b.go", "package sub\n")
+	write("nested/go.mod", "module example.com/nested\n")
+	write("nested/c.go", "package nested\n")
+	write("nested/deep/d.go", "package deep\n")
+
+	l, err := NewLoader(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := l.ExpandPatterns([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{l.ModuleRoot, filepath.Join(l.ModuleRoot, "sub")}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("./... expanded to %v, want %v", got, want)
+	}
+
+	got, err = l.ExpandPatterns([]string{"nested"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(l.ModuleRoot, "nested")}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("explicit nested expanded to %v, want %v", got, want)
 	}
 }

@@ -183,8 +183,9 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 // ExpandPatterns resolves command-line package patterns — "./...",
 // "dir/...", plain directories — into package directories relative to the
 // module root, in walk order. Directories named testdata, vendor, or
-// starting with "." or "_" terminate the recursive walk, matching the go
-// tool; naming a testdata directory explicitly still works, which is how
+// starting with "." or "_", and directories below the walk's root that hold
+// their own go.mod (nested modules), terminate the recursive walk, matching
+// the go tool; naming such a directory explicitly still works, which is how
 // the fixture packages are linted on demand.
 func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	var dirs []string
@@ -227,6 +228,11 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 			if p != root && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if p != root {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if hasGoFiles(p) {
 				add(p)

@@ -102,6 +102,7 @@ go test -run='^$' -fuzz=FuzzUnionFind -fuzztime=10s ./internal/unionfind/
 go test -run='^$' -fuzz=FuzzSWBatch -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzLSHCandidates -fuzztime=10s ./internal/pgraph/
 go test -run='^$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/faults/
+go test -run='^$' -fuzz=FuzzWarpTransactions -fuzztime=10s ./internal/gpusim/
 
 echo "== serve SLO smoke (1000 concurrent clients, race detector on)"
 go test -race -run TestServeSLO ./internal/serve/
